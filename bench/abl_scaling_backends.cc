@@ -7,8 +7,9 @@
 //     the GMS fluid allocation, and the incremental-refresh counters — all
 //     pure functions of --seed, and asserted *identical across backends*
 //     (the backend changes constants, never decisions);
-//   * decisions per second (wall clock; JSON only under --timing), where the
-//     O(log t) skip list overtakes the O(t) list scans as t grows.
+//   * decisions per second (wall clock; JSON only under --timing).
+// SFS keeps its start-tag and surplus orders in slot arrays on either backend,
+// so the backend here varies only the weight queue.
 
 #include <algorithm>
 #include <string>

@@ -2,9 +2,9 @@
 //
 // One Entity exists per thread known to a scheduler.  It carries the union of the
 // state used by the schedulers in this library; each scheduler uses the subset it
-// needs.  All queue membership is intrusive (Section 3.1 keeps each runnable thread
-// on three sorted queues simultaneously), so entities are never copied or moved
-// while linked.
+// needs.  Queues hold entities by intrusive hook or by pointer (Section 3.1 keeps
+// each runnable thread on three sorted queues simultaneously), so entities are
+// never copied or moved while queued.
 //
 // Hot/cold split: the fields read on every Charge/Pick/RefreshSurpluses —
 // weight, phi, the virtual-time tags and the surplus — are packed into
@@ -122,6 +122,9 @@ struct Entity {
   CpuId last_cpu = kInvalidCpu;   // processor that last ran it (affinity hint)
   CpuId partition = kInvalidCpu;  // home partition (partitioned baseline only)
 
+  // Slot of this entity in SFS's start-tag heap (StartTagHeap), -1 when absent.
+  std::int32_t heap_index = -1;
+
   // True while the readjustment algorithm holds this thread's share capped at 1/p.
   // Maintained by ReadjustQueue so that restoring former caps costs O(p), not O(t).
   bool capped = false;
@@ -132,12 +135,12 @@ struct Entity {
   bool runnable = false;
   bool running = false;
 
-  // Intrusive queue hooks (Section 3.1's three queues plus one generic run queue
-  // used by the non-GPS baselines).
-  common::ListHook by_weight;   // runnable threads, descending weight
-  common::ListHook by_start;    // runnable threads, ascending start tag
-  common::ListHook by_surplus;  // runnable threads, ascending surplus
-  common::ListHook by_rq;       // scheduler-specific run queue (RR/timeshare/stride/...)
+  // Intrusive queue hooks: the GPS family's weight queue, SFQ's start-tag
+  // queue, and one generic run queue used by the other baselines.  SFS keeps
+  // its start-tag and surplus orders in slot arrays instead (sfs_orders.h).
+  common::ListHook by_weight;  // runnable threads, descending weight
+  common::ListHook by_start;   // runnable threads, ascending start tag
+  common::ListHook by_rq;      // scheduler-specific run queue (RR/timeshare/stride/...)
 };
 static_assert(sizeof(Entity) == 192, "entity must stay three cache lines");
 

@@ -149,17 +149,6 @@ class RunQueue {
     Insert(elem);
   }
 
-  // Declares that keys were mutated in place *without* changing the relative
-  // order of the queued elements (uniform tag rebases; an incremental refresh
-  // that already removed the out-of-order elements).  The sorted list always
-  // compares current keys, so this is free there; the skip list re-snapshots
-  // the keys its towers were filed under.
-  void SyncKeys() {
-    if (!sorted()) {
-      skip_->SyncKeys();
-    }
-  }
-
   // Visits the first / last `k` elements in key order; returns the count.
   template <typename Fn>
   std::size_t ForFirstK(std::size_t k, Fn&& fn) {

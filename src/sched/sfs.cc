@@ -9,18 +9,10 @@ namespace sfs::sched {
 Sfs::Sfs(const SchedConfig& config) : GpsSchedulerBase(config) {
   SFS_CHECK(config.heuristic_k >= 0);
   SFS_CHECK(config.heuristic_refresh_period > 0);
-  start_queue_.SetBackend(config.queue_backend);
-  surplus_queue_.SetBackend(config.queue_backend);
-}
-
-Sfs::~Sfs() {
-  start_queue_.Clear();
-  surplus_queue_.Clear();
 }
 
 double Sfs::VirtualTime() const {
-  const Entity* head = start_queue_.front();
-  return head == nullptr ? idle_virtual_time_ : head->start_tag();
+  return start_heap_.empty() ? idle_virtual_time_ : start_heap_.front()->start_tag();
 }
 
 double Sfs::Surplus(ThreadId tid) const {
@@ -33,8 +25,7 @@ void Sfs::SetWarp(ThreadId tid, double warp) {
   Entity& e = FindEntity(tid);
   e.SetWarpState(warp);
   if (e.runnable) {
-    e.surplus() = FreshSurplus(e, VirtualTime());
-    surplus_queue_.Reposition(&e);
+    surplus_order_.Reposition(e, FreshSurplus(e, VirtualTime()));
   }
 }
 
@@ -62,7 +53,7 @@ void Sfs::OnBlocked(Entity& e) {
   if (RetireWeight(e)) {
     need_refresh_ = true;
   }
-  if (start_queue_.empty()) {
+  if (start_heap_.empty()) {
     // All processors idle: freeze the virtual time at the finish tag of the
     // thread that ran last (Section 2.3).
     idle_virtual_time_ = std::max(idle_virtual_time_, e.finish_tag());
@@ -102,7 +93,7 @@ Entity* Sfs::PickNextEntity(CpuId cpu) {
 
   if (config().heuristic_k <= 0) {
     // Exact algorithm: refresh surpluses whenever the virtual time advanced or
-    // instantaneous weights changed, then take the head of the surplus queue.
+    // instantaneous weights changed, then take the head of the surplus order.
     if (need_refresh_ || VirtualTime() != last_refresh_v_) {
       RefreshSurpluses(VirtualTime());
     }
@@ -110,7 +101,7 @@ Entity* Sfs::PickNextEntity(CpuId cpu) {
   }
 
   // Heuristic (Section 3.2): bounded examination; periodic full refresh keeps the
-  // surplus queue ordering accurate between heuristic decisions.
+  // surplus order accurate between heuristic decisions.
   if (need_refresh_ || ++decisions_since_refresh_ >= config().heuristic_refresh_period) {
     RefreshSurpluses(VirtualTime());
   }
@@ -122,13 +113,12 @@ void Sfs::OnCharge(Entity& e, Tick ran_for) {
   // stays runnable continues from its finish tag (Equation 6).
   e.finish_tag() = e.start_tag() + arith().WeightedService(ran_for, e.phi());
   e.start_tag() = e.finish_tag();
-  // Reposition in both queues; the key grew, so scan from the back.
-  start_queue_.Remove(&e);
-  start_queue_.InsertFromBack(&e);
-  e.surplus() = FreshSurplus(e, VirtualTime());
-  surplus_queue_.Remove(&e);
-  surplus_queue_.InsertFromBack(&e);
-  if (start_queue_.size() == 1) {
+  // The start tag grew: one sift-down restores the heap.  The surplus slot then
+  // moves to its new place; the virtual time is read after the sift because
+  // this thread may have been the minimum.
+  start_heap_.Update(e);
+  surplus_order_.Reposition(e, FreshSurplus(e, VirtualTime()));
+  if (start_heap_.size() == 1) {
     // Only this thread runnable: remember its finish tag for the idle rule.
     idle_virtual_time_ = std::max(idle_virtual_time_, e.finish_tag());
   }
@@ -165,36 +155,32 @@ CpuId Sfs::SuggestPreemption(ThreadId woken, const std::vector<Tick>& elapsed) {
 
 void Sfs::EnqueueRunnable(Entity& e) {
   e.surplus() = FreshSurplus(e, VirtualTime());
-  start_queue_.Insert(&e);
-  surplus_queue_.Insert(&e);
+  start_heap_.Insert(e);
+  surplus_order_.Insert(e);
 }
 
 void Sfs::DequeueRunnable(Entity& e) {
-  start_queue_.Remove(&e);
-  surplus_queue_.Remove(&e);
+  start_heap_.Remove(e);
+  surplus_order_.Remove(e);
 }
 
 void Sfs::RefreshSurpluses(double v) {
-  // Incremental refresh: recompute every surplus in place, then let the queue
-  // reposition only the entities whose order actually changed.  Between
-  // refreshes surpluses shift by -phi_i * dv, so relative order moves only
-  // across different phis and the queue stays almost sorted — Resort() is
-  // near-linear on both backends and O(log t) per misplaced entity on the
-  // skip list, and yields the same total (surplus, tid) order a full sort
-  // would, so dispatch decisions are unchanged.
+  // Incremental refresh: recompute every runnable surplus in slot order, then
+  // move only the slots whose order actually changed.  Between refreshes
+  // surpluses shift by -phi_i * dv, so relative order moves only across
+  // different phis and the array stays almost sorted; the result is the same
+  // total (surplus, tid) order a full sort would give, so dispatch decisions
+  // are unchanged.
   //
-  // The recompute walks the surplus queue — O(runnable), each entity's whole
-  // row one cache line — and FreshSurplus is branch-free per entity: warp_eff
+  // The recompute reads each runnable entity's row — one cache line, loads
+  // independent of each other — and FreshSurplus is branch-free: warp_eff
   // precomputes the old `warp_enabled ? warp : 0` test at SetWarpState time.
-  // (A unit-stride pass over an external dense row array was measured and
-  // rejected: it is the pretty loop, but on mostly-blocked 10k-thread
-  // workloads it made every pick O(total threads), and even gated by runnable
-  // density the external rows cost every *random* entity touch an extra
-  // independent cache line — see the layout note in entity.h.)
-  for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
-    e->surplus() = FreshSurplus(*e, v);
-  }
-  refresh_repositions_ += static_cast<std::int64_t>(surplus_queue_.Resort());
+  // Blocked entities are not touched; EnqueueRunnable recomputes the surplus
+  // at wakeup.
+  refresh_repositions_ += static_cast<std::int64_t>(
+      surplus_order_.Refresh([this, v](const Entity& e) { return FreshSurplus(e, v); }));
+  SFS_DCHECK(surplus_order_.Valid());
+  SFS_DCHECK(start_heap_.Valid());
   last_refresh_v_ = v;
   need_refresh_ = false;
   decisions_since_refresh_ = 0;
@@ -207,8 +193,9 @@ void Sfs::MaybeRebase(double v) {
   }
   // Shift all tags down by `v` — the minimum start tag over runnable threads,
   // by definition of the virtual time — so the new virtual time is 0.
-  // Orderings and surpluses are invariant under the uniform shift; queue
-  // structures need no resort.  Two values need care:
+  // Surpluses are invariant under the uniform shift, and the start-tag order
+  // is too up to ties the rounding may create, which re-heapifying settles by
+  // tid.  Two values need care:
   //   * a blocked thread's finish tag can lie below v and would drift toward
   //     -inf over repeated rebases; since wakeup applies S = max(F, v') with
   //     v' >= 0 after the shift, clamping such tags at 0 is behaviour-
@@ -227,33 +214,32 @@ void Sfs::MaybeRebase(double v) {
   idle_virtual_time_ = std::max(0.0, idle_virtual_time_ - delta);
   last_refresh_v_ -= delta;
   // Start tags shifted in place; surpluses are untouched by the shift.
-  start_queue_.SyncKeys();
+  start_heap_.Rebuild();
   ++rebases_;
 }
 
 Entity* Sfs::ExactPick(CpuId cpu) {
-  Entity* head = nullptr;
-  for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
-    if (!e->running) {
-      head = e;
-      break;
-    }
+  const std::size_t n = surplus_order_.size();
+  std::size_t head = 0;
+  while (head < n && surplus_order_[head].entity->running) {
+    ++head;
   }
-  if (head == nullptr || config().affinity_tolerance <= 0) {
-    return head;
+  if (head == n) {
+    return nullptr;
+  }
+  Entity* const best = surplus_order_[head].entity;
+  if (config().affinity_tolerance <= 0 || best->last_cpu == cpu) {
+    return best;
   }
   // Affinity extension: accept a slightly-larger surplus to stay cache-warm.
-  const double window = head->surplus() + static_cast<double>(config().affinity_tolerance);
-  if (head->last_cpu == cpu) {
-    return head;
-  }
-  for (Entity* e = surplus_queue_.next(head); e != nullptr && e->surplus() <= window;
-       e = surplus_queue_.next(e)) {
+  const double window = surplus_order_[head].key + static_cast<double>(config().affinity_tolerance);
+  for (std::size_t i = head + 1; i < n && surplus_order_[i].key <= window; ++i) {
+    Entity* const e = surplus_order_[i].entity;
     if (!e->running && e->last_cpu == cpu) {
       return e;
     }
   }
-  return head;
+  return best;
 }
 
 Entity* Sfs::HeuristicPick(double v, int k, CpuId cpu) {
@@ -280,17 +266,21 @@ Entity* Sfs::HeuristicPick(double v, int k, CpuId cpu) {
     }
   };
   const auto kk = static_cast<std::size_t>(k);
-  surplus_queue_.ForFirstK(kk, consider);
-  start_queue_.ForFirstK(kk, consider);
+  for (std::size_t i = 0; i < kk && i < surplus_order_.size(); ++i) {
+    consider(surplus_order_[i].entity);
+  }
+  // Best-first over the heap: the same k least start tags a sorted queue's
+  // first k would give; `consider` does not depend on visit order.
+  start_heap_.ForFirstK(kk, consider);
   // The weight queue is descending; examine it backwards — smallest weights first
   // (footnote 8).
   weight_queue().ForLastK(kk, consider);
   if (best == nullptr) {
     // Degenerate small k: every examined thread is already running on another
-    // processor.  Fall back to the surplus queue head scan (at most p-1 skips).
-    for (Entity* e = surplus_queue_.front(); e != nullptr; e = surplus_queue_.next(e)) {
-      if (!e->running) {
-        return e;
+    // processor.  Fall back to the surplus order's head scan (at most p-1 skips).
+    for (std::size_t i = 0; i < surplus_order_.size(); ++i) {
+      if (!surplus_order_[i].entity->running) {
+        return surplus_order_[i].entity;
       }
     }
     return nullptr;
@@ -313,16 +303,16 @@ Sfs::HeuristicAudit Sfs::AuditHeuristic(int k) {
   // Exact answer computed by full scan (no state mutation).
   Entity* exact = nullptr;
   double exact_s = 0.0;
-  for (Entity* e = start_queue_.front(); e != nullptr; e = start_queue_.next(e)) {
+  start_heap_.ForEach([&](Entity* e) {
     if (e->running) {
-      continue;
+      return;
     }
     const double s = FreshSurplus(*e, v);
     if (exact == nullptr || s < exact_s || (s == exact_s && e->tid < exact->tid)) {
       exact = e;
       exact_s = s;
     }
-  }
+  });
   if (exact != nullptr) {
     audit.exact_pick = exact->tid;
     audit.exact_surplus = exact_s;

@@ -21,15 +21,19 @@
 //     tag), which the test suite verifies.
 //
 // Engineering faithful to Section 3:
-//   * three sorted queues (descending weight — in GpsSchedulerBase; ascending start
-//     tag; ascending surplus), each on the backend selected by
-//     SchedConfig::queue_backend (paper-faithful sorted list, or the O(log t)
-//     indexed skip list of Section 3.2's "binary search" remark);
-//   * surpluses are recomputed — and only the entities whose queue order
-//     actually changed repositioned — when the virtual time advances or
-//     weights were readjusted;
+//   * three orders over the runnable threads: descending weight (the weight
+//     queue in GpsSchedulerBase, on the backend selected by
+//     SchedConfig::queue_backend); ascending start tag, kept as an indexed
+//     binary min-heap; and ascending surplus, kept as a sorted slot array
+//     (sfs_orders.h).  The two SFS orders are contiguous arrays whatever the
+//     queue_backend — Section 3.2 names the sorted lists as the constant-
+//     factor bottleneck, and the exact algorithm needs only the minimum start
+//     tag;
+//   * surpluses are recomputed — and only the entities whose order actually
+//     changed moved — when the virtual time advances or weights were
+//     readjusted;
 //   * optional scheduling heuristic: examine the first k threads of the start-tag
-//     and surplus queues and the last k of the weight queue, pick the least fresh
+//     and surplus orders and the last k of the weight queue, pick the least fresh
 //     surplus among them (Figure 3 measures its accuracy);
 //   * optional fixed-point tag arithmetic with a 10^n scaling factor;
 //   * tag wrap-around handling: all tags are periodically rebased against the
@@ -39,28 +43,16 @@
 #define SFS_SCHED_SFS_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/sched/gps_base.h"
-#include "src/sched/run_queue.h"
+#include "src/sched/sfs_orders.h"
 
 namespace sfs::sched {
-
-struct ByStartTagAsc {
-  static std::pair<double, ThreadId> Key(const Entity& e) { return {e.start_tag(), e.tid}; }
-};
-struct BySurplusAsc {
-  static std::pair<double, ThreadId> Key(const Entity& e) { return {e.surplus(), e.tid}; }
-};
-
-using StartTagQueue = RunQueue<Entity, &Entity::by_start, ByStartTagAsc>;
-using SurplusQueue = RunQueue<Entity, &Entity::by_surplus, BySurplusAsc>;
 
 class Sfs : public GpsSchedulerBase {
  public:
   explicit Sfs(const SchedConfig& config);
-  ~Sfs() override;
 
   std::string_view name() const override { return "SFS"; }
 
@@ -104,8 +96,9 @@ class Sfs : public GpsSchedulerBase {
   std::int64_t decisions() const { return decisions_; }
   std::int64_t full_refreshes() const { return full_refreshes_; }
   std::int64_t rebases() const { return rebases_; }
-  // Entities re-inserted by the incremental surplus refresh (the entities whose
-  // surplus-queue order actually changed); everything else kept its position.
+  // Entities moved by the incremental surplus refresh (those whose surplus fell
+  // below the running maximum of the entities before them); everything else
+  // kept its relative position.
   std::int64_t refresh_repositions() const { return refresh_repositions_; }
 
  protected:
@@ -119,17 +112,14 @@ class Sfs : public GpsSchedulerBase {
   void OnAttach(Entity& e) override;
 
  private:
-  // Inserts a runnable entity into the start-tag and surplus queues with a fresh
-  // surplus value.
+  // Inserts a runnable entity into the start-tag heap and the surplus array
+  // with a fresh surplus value.
   void EnqueueRunnable(Entity& e);
   void DequeueRunnable(Entity& e);
 
-  // Recomputes every surplus against `v` in one branchless pass over the dense
-  // hot-store arrays, then incrementally restores surplus-queue order: only
-  // entities whose new key breaks the ascending run are pulled out and
-  // re-inserted (O(log t) each on the skip-list backend).  Blocked entities'
-  // rows are overwritten too — harmless, since they sit on no queue and
-  // EnqueueRunnable recomputes the surplus at wakeup.
+  // Recomputes every runnable surplus against `v` in one branchless pass over
+  // the surplus array, then restores its order: only the slots whose new key
+  // breaks the ascending run are sorted and merged back in.
   void RefreshSurpluses(double v);
 
   // Applies Section 3.2's wrap-around handling when v crosses the rebase
@@ -146,8 +136,8 @@ class Sfs : public GpsSchedulerBase {
   Entity* ExactPick(CpuId cpu);
   Entity* HeuristicPick(double v, int k, CpuId cpu);
 
-  StartTagQueue start_queue_;
-  SurplusQueue surplus_queue_;
+  StartTagHeap start_heap_;
+  SurplusArray surplus_order_;
 
   // Virtual time bookkeeping.  `idle_virtual_time_` implements "the virtual time
   // ... is set to the finish tag of the thread that ran last" when no thread is

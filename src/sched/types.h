@@ -75,9 +75,10 @@ struct SchedConfig {
   // path in tests; high enough to be invisible in normal runs.
   double tag_rebase_threshold = 1e15;
 
-  // Backend for every sorted run queue the scheduler maintains (weight, start
-  // tag, surplus, finish tag, pass, ...).  The skip-list backend changes only
-  // constants, never decisions.
+  // Backend for every RunQueue the scheduler maintains (the weight queue; SFQ's
+  // start-tag, WFQ's finish-tag, stride's pass queue, ...).  SFS's start-tag
+  // and surplus orders are slot arrays that do not depend on it.  The
+  // skip-list backend changes only constants, never decisions.
   QueueBackend queue_backend = QueueBackend::kSortedList;
 
   // Processor-affinity extension (Section 5 future work): when > 0, a dispatch

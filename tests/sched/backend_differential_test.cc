@@ -195,9 +195,10 @@ INSTANTIATE_TEST_SUITE_P(AllMigrated, BackendDifferentialTest,
                          });
 
 TEST(BackendDifferentialSpecialTest, HeuristicSfsTracesIdenticalAcrossBackends) {
-  // The Section 3.2 heuristic is the only caller of the queues' bounded scans
-  // (ForFirstK on start/surplus, ForLastK on the weight queue) and of the
-  // periodic refresh; it must be backend-invariant too.
+  // The Section 3.2 heuristic is the only caller of the weight queue's
+  // bounded backward scan (ForLastK) and of the periodic refresh; it must be
+  // backend-invariant too.  (SFS's start-tag and surplus orders are slot
+  // arrays whatever the backend; only the weight queue varies here.)
   for (const std::uint64_t seed : {5ULL, 99ULL}) {
     SchedConfig config;
     config.num_cpus = 2;

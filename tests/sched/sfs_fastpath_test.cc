@@ -9,10 +9,12 @@
 //     shift must keep `last_refresh_v_` in sync and must not drive blocked
 //     threads' finish tags to -inf over a long horizon; dispatch decisions are
 //     invariant under rebasing, so a tiny-threshold scheduler must trace
-//     identically to a never-rebasing one.
+//     identically to a never-rebasing one — on one CPU, and on four CPUs with
+//     enough threads that the start-tag heap is several levels deep.
 
 #include "src/sched/sfs.h"
 
+#include <deque>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -121,6 +123,66 @@ TEST(SfsRebaseTest, LongHorizonTracesMatchNeverRebasingScheduler) {
   // The refresh-skip check must stay in sync across rebases: the rebasing
   // scheduler may not pay a single refresh more than the never-rebasing one.
   EXPECT_EQ(rebasing.full_refreshes(), reference.full_refreshes());
+}
+
+TEST(SfsRebaseTest, MultiprocessorTracesMatchNeverRebasingScheduler) {
+  // p=4 with 36 threads: every rebase re-heapifies a start-tag heap six
+  // levels deep, and blocks and wakeups keep removing and inserting interior
+  // slots.  Weights {1, 2, 4, 5, 8} are feasible on 4 CPUs (phi = w) and
+  // every charge is a whole number of milliseconds, so each weighted service
+  // q / phi — and therefore each shift — is exact in doubles.
+  SchedConfig small;
+  small.num_cpus = 4;
+  small.tag_rebase_threshold = 1000.0;
+  SchedConfig huge = small;
+  huge.tag_rebase_threshold = 1e15;
+  Sfs rebasing(small);
+  Sfs reference(huge);
+
+  constexpr int kThreads = 36;
+  const double weights[] = {1.0, 2.0, 4.0, 5.0, 8.0};
+  for (Sfs* s : {&rebasing, &reference}) {
+    for (ThreadId tid = 0; tid < kThreads; ++tid) {
+      s->AddThread(tid, weights[tid % 5]);
+    }
+  }
+
+  std::deque<ThreadId> blocked;
+  for (int round = 0; round < 3000; ++round) {
+    ThreadId picked[4];
+    for (CpuId cpu = 0; cpu < 4; ++cpu) {
+      picked[cpu] = rebasing.PickNext(cpu);
+      ASSERT_EQ(picked[cpu], reference.PickNext(cpu))
+          << "round " << round << " cpu " << cpu << " after " << rebasing.rebases() << " rebases";
+    }
+    for (CpuId cpu = 0; cpu < 4; ++cpu) {
+      const ThreadId tid = picked[cpu];
+      ASSERT_NE(tid, kInvalidThread);
+      const Tick ran = Msec(1 + (round + cpu) % 4);
+      rebasing.Charge(tid, ran);
+      reference.Charge(tid, ran);
+      if (round % 5 == cpu && blocked.size() < 8) {
+        rebasing.Block(tid);
+        reference.Block(tid);
+        blocked.push_back(tid);
+      }
+    }
+    if (round % 3 == 0 && !blocked.empty()) {
+      rebasing.Wakeup(blocked.front());
+      reference.Wakeup(blocked.front());
+      blocked.pop_front();
+    }
+    for (const ThreadId tid : blocked) {
+      ASSERT_GE(rebasing.FinishTag(tid), 0.0) << "round " << round;
+    }
+  }
+  EXPECT_GT(rebasing.rebases(), 100);
+  EXPECT_EQ(reference.rebases(), 0);
+  for (ThreadId tid = 0; tid < kThreads; ++tid) {
+    EXPECT_EQ(rebasing.TotalService(tid), reference.TotalService(tid)) << "tid " << tid;
+  }
+  EXPECT_EQ(rebasing.full_refreshes(), reference.full_refreshes());
+  EXPECT_EQ(rebasing.refresh_repositions(), reference.refresh_repositions());
 }
 
 }  // namespace
