@@ -3,7 +3,7 @@
 //
 // The paper's kernel runs schedule() concurrently on every processor; the
 // user-level executor now does the same with one dispatcher thread per CPU
-// (src/exec/executor.h).  This experiment measures what the locking contract
+// (src/runtime/executor.h).  This experiment measures what the locking contract
 // costs as p grows: the latency of one scheduling decision — dispatch-lock
 // acquisition (including contention with the other CPUs' dispatchers) plus
 // PickNext — under three configurations over the same workload:
@@ -19,7 +19,7 @@
 //                         shard's mutex, so decisions on different CPUs
 //                         overlap and only cross-shard steals synchronize
 //
-// The harness mirrors exec::Executor's dispatcher loop — pick under
+// The harness mirrors runtime::Executor's dispatcher loop — pick under
 // LockDispatch, "run" the pick, charge under LockDispatch — but replaces the
 // granted worker's real quantum with a fixed short think time, so the lock
 // path is the only variable between configurations (real spinning workers

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "src/common/table.h"
-#include "src/exec/executor.h"
+#include "src/runtime/executor.h"
 #include "src/harness/registry.h"
 #include "src/harness/runner.h"
 #include "src/sched/factory.h"
@@ -111,7 +111,7 @@ double CtxSwitchNs(SchedKind kind, int threads, int kb) {
 // traffic — sharded-sfs rides per-shard locks, the flat policies one coarse
 // dispatch mutex; abl_lock_contention isolates that difference as p grows.
 void RealThreadSection(Reporter& reporter) {
-  using sfs::exec::Executor;
+  using sfs::runtime::Executor;
   sfs::common::Table table({"config", "scheduler", "runtime", "median switch (us)",
                             "p95 (us)", "switches"});
   struct Shape {

@@ -6,7 +6,7 @@
 // Why not raw std::mutex: the standard types carry no capability attributes,
 // so -Wthread-safety cannot see them, and the repo's locking contract
 // (sched/scheduler.h, DESIGN.md §5/§11) stays comments-only.  Every mutex in
-// src/{sched,exec,sim,obs} is a common::Mutex; the determinism lint
+// src/{sched,runtime,sim,obs} is a common::Mutex; the determinism lint
 // (tools/lint/check_determinism.py) rejects new raw std::mutex there.
 //
 // Two enforcement layers, split by what each can see:

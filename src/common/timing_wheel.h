@@ -85,8 +85,8 @@ class TimingWheel {
     SFS_DCHECK(until >= 0);
     const auto bound = static_cast<std::uint64_t>(until);
     while (size_ > 0) {
-      // Fast path: the slot for the current tick still has events (same-tick
-      // batch in flight, including events pushed by the handlers themselves).
+      // Fast path: the slot for the current tick still has events (including
+      // events the handlers pushed at this same tick).
       if (slots_[SlotIndex(0, current_)].head != nullptr) {
         SFS_DCHECK(current_ <= bound);
         *time = static_cast<std::int64_t>(current_);
@@ -127,39 +127,6 @@ class TimingWheel {
       Cascade(level, idx);
     }
     return false;
-  }
-
-  // Dequeues and invokes `fn(value)` for every event at the tick NextTime()
-  // just reported, returning the number drained.  Only valid immediately after
-  // a successful NextTime().  Detaching the whole level-0 chain up front lets
-  // the hot loop walk a linked list with next-node prefetch instead of
-  // re-deriving the slot per event; the outer loop re-checks the slot because
-  // `fn` may push new events at this same tick (they chain behind the detached
-  // batch, exactly as PopFront() would see them), so the invocation order is
-  // identical to a NextTime()/PopFront() loop.
-  template <typename Fn>
-  std::size_t DrainCurrent(Fn&& fn) {
-    Slot& slot = slots_[SlotIndex(0, current_)];
-    std::size_t drained = 0;
-    while (slot.head != nullptr) {
-      Node* node = slot.head;
-      slot.head = nullptr;
-      slot.tail = nullptr;
-      ClearOccupied(0, SlotInLevel(0, current_));
-      while (node != nullptr) {
-        Node* next = node->next;
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(next);
-#endif
-        SFS_DCHECK(node->time == current_);
-        --size_;
-        ++drained;
-        fn(node->value);
-        FreeNode(node);
-        node = next;
-      }
-    }
-    return drained;
   }
 
   // Dequeues the event at the time NextTime() just reported.  Only valid

@@ -636,7 +636,11 @@ void Executor::TimerLoop() {
           // indefinitely instead of polling.
           timer_cv_.Wait(timer_mu_);
         } else {
-          timer_cv_.WaitUntil(timer_mu_, std::min(wake_queue_.top().at, wall_end_));
+          // Copy the deadline out: std::min returns a reference into the
+          // queue's storage, which a concurrent Block push may reallocate
+          // while this thread waits with timer_mu_ released.
+          const Clock::time_point deadline = std::min(wake_queue_.top().at, wall_end_);
+          timer_cv_.WaitUntil(timer_mu_, deadline);
         }
       }
       const Clock::time_point now = Clock::now();

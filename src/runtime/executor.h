@@ -80,9 +80,6 @@
 // a real-code analogue (bench/table1): the dispatch latency measured here
 // includes the actual scheduler data-structure work plus any lock contention
 // between concurrent dispatchers.
-//
-// src/exec/executor.h re-exports this class as sfs::exec::Executor for
-// existing call sites; new code should link sfs::runtime and use this header.
 
 #ifndef SFS_RUNTIME_EXECUTOR_H_
 #define SFS_RUNTIME_EXECUTOR_H_

@@ -144,15 +144,14 @@ void ParallelEngine::SetRunIntervalHook(
 void ParallelEngine::RunUntil(Tick until) {
   SFS_CHECK(until >= now_);
   if (!locked_) {
-    // Serial oracle path: the exact sim::Engine loop (batched wheel drain) on
-    // the calling thread.
+    // Serial oracle path: the exact sim::Engine loop on the calling thread.
     Worker& w = *workers_[0];
     Tick t = 0;
     while (w.wheel.NextTime(until, &t)) {
       SFS_DCHECK(t >= w.now);
       w.now = t;
       now_ = t;
-      w.wheel.DrainCurrent([this, &w](const Event& ev) { DispatchEvent(w, ev); });
+      DispatchEvent(w, w.wheel.PopFront());
     }
     w.now = until;
     now_ = until;
@@ -209,7 +208,7 @@ void ParallelEngine::RunLocal(Worker& w, Tick bound) {
   while (w.wheel.NextTime(bound, &t)) {
     SFS_DCHECK(t >= w.now);
     w.now = t;
-    w.wheel.DrainCurrent([this, &w](const Event& ev) { DispatchEvent(w, ev); });
+    DispatchEvent(w, w.wheel.PopFront());
   }
 }
 
@@ -316,7 +315,7 @@ Tick ParallelEngine::idle_time() const {
 void ParallelEngine::Push(Worker& w, Tick time, EventKind kind, std::int32_t a,
                           std::uint64_t stamp) {
   SFS_DCHECK(time >= w.now);
-  w.wheel.Push(time, Event{time, w.next_seq++, kind, a, stamp});
+  w.wheel.Push(time, Event{kind, a, stamp});
 }
 
 void ParallelEngine::PushWakeup(Worker& w, TaskSlot slot, Tick time, sched::CpuId home) {

@@ -193,8 +193,6 @@ class ParallelEngine {
   // home shard (the dispatch-mutex key for the wakeup-path lock relaxation,
   // scheduler.h) for kWakeup.
   struct Event {
-    Tick time = 0;
-    std::uint64_t seq = 0;
     EventKind kind = EventKind::kArrival;
     std::int32_t a = 0;
     std::uint64_t stamp = 0;
@@ -238,7 +236,6 @@ class ParallelEngine {
     sched::CpuId cpu_begin = 0;  // owned simulated CPUs: [cpu_begin, cpu_end)
     sched::CpuId cpu_end = 0;
     Tick now = 0;
-    std::uint64_t next_seq = 0;
     common::TimingWheel<Event> wheel;
     // mail[source]: wakeups sent to this worker by worker `source`.
     std::vector<common::MpscMailbox<Mail>> mail;

@@ -154,7 +154,10 @@ TEST(TimingWheelTest, ReserveDoesNotDisturbPendingEvents) {
 
 // Differential against a (time, seq) min-heap over a seeded random schedule
 // with interleaved pushes and bounded drains — the wheel's substitutability
-// contract in one property.
+// contract in one property.  Like the engine's event handlers, the pop loop
+// itself pushes new events between PopFront() calls, both at the tick being
+// drained (which must fire this tick, behind everything already pending) and
+// in the future.
 TEST(TimingWheelTest, MatchesMinHeapOverRandomSchedule) {
   struct HeapGreater {
     bool operator()(const Ev& a, const Ev& b) const {
@@ -170,20 +173,25 @@ TEST(TimingWheelTest, MatchesMinHeapOverRandomSchedule) {
     Rng rng(seed);
     std::int64_t now = 0;
     std::uint64_t seq = 0;
+    std::int64_t same_tick_pushes = 0;
+    // Mix of same-tick, near and far-future times across wheel levels.
+    auto push_at_offset = [&](std::int64_t from) {
+      std::int64_t dt = 0;
+      switch (rng.UniformInt(0, 3)) {
+        case 0: dt = 0; break;
+        case 1: dt = static_cast<std::int64_t>(rng.UniformInt(1, 300)); break;
+        case 2: dt = static_cast<std::int64_t>(rng.UniformInt(1, 100'000)); break;
+        default: dt = static_cast<std::int64_t>(rng.UniformInt(1, 50'000'000)); break;
+      }
+      const Ev ev{from + dt, seq++};
+      wheel.Push(ev.time, ev);
+      heap.push(ev);
+      return dt == 0;
+    };
     for (int round = 0; round < 200; ++round) {
       const int pushes = static_cast<int>(rng.UniformInt(0, 8));
       for (int i = 0; i < pushes; ++i) {
-        // Mix of near, same-tick and far-future times across wheel levels.
-        std::int64_t dt = 0;
-        switch (rng.UniformInt(0, 3)) {
-          case 0: dt = 0; break;
-          case 1: dt = static_cast<std::int64_t>(rng.UniformInt(1, 300)); break;
-          case 2: dt = static_cast<std::int64_t>(rng.UniformInt(1, 100'000)); break;
-          default: dt = static_cast<std::int64_t>(rng.UniformInt(1, 50'000'000)); break;
-        }
-        const Ev ev{now + dt, seq++};
-        wheel.Push(ev.time, ev);
-        heap.push(ev);
+        push_at_offset(now);
       }
       const std::int64_t until = now + static_cast<std::int64_t>(rng.UniformInt(0, 200'000));
       std::int64_t t = 0;
@@ -195,6 +203,14 @@ TEST(TimingWheelTest, MatchesMinHeapOverRandomSchedule) {
         ASSERT_EQ(got.time, want.time) << "seed " << seed;
         ASSERT_EQ(got.seq, want.seq) << "seed " << seed;
         now = got.time;
+        // Handler-style pushes mid-drain: under one expected push per pop, so
+        // same-tick chains stay finite.
+        if (rng.UniformInt(0, 2) == 0) {
+          const int handler_pushes = static_cast<int>(rng.UniformInt(1, 2));
+          for (int i = 0; i < handler_pushes; ++i) {
+            same_tick_pushes += push_at_offset(now) ? 1 : 0;
+          }
+        }
       }
       if (!heap.empty()) {
         ASSERT_GT(heap.top().time, until) << "seed " << seed;
@@ -202,6 +218,7 @@ TEST(TimingWheelTest, MatchesMinHeapOverRandomSchedule) {
       now = until;
     }
     ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
+    EXPECT_GT(same_tick_pushes, 0) << "seed " << seed;
   }
 }
 

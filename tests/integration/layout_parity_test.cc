@@ -1,23 +1,14 @@
-// Layout-parity differential: this PR packed the hot scheduler fields into a
-// cache-line row (sched::EntityHotRow), split sim::Task hot/cold, and taught
-// the engine to drain each timing-wheel tick as a batch — none of which may
-// change which thread is picked, ever.  Two guards:
-//
-//  1. Batched vs unbatched wheel drain (EngineConfig::batch_drain) must be
-//     byte-identical for every scheduler kind on randomized workloads, the
-//     same differential shape as event_queue_fuzz_test.
-//  2. Golden fingerprints: the run/lifecycle FNV-1a fingerprints for seed 1,
-//     recorded from the pre-refactor AoS build (verified byte-identical to
-//     this build over the full fig/abl suite when the PR landed), are pinned
-//     as constants.  A future layout change that silently perturbs schedules
-//     breaks these even if it perturbs both drain modes identically.
-//
-// SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 6), as in
-// fuzz_test.cc.  The golden constants always use seed 1.
+// Layout-parity golden: packing the hot scheduler fields into a cache-line
+// row (sched::EntityHotRow) and splitting sim::Task hot/cold must not change
+// which thread is picked, ever.  The run/lifecycle FNV-1a fingerprints for
+// seed 1, recorded from the pre-refactor AoS build (verified byte-identical
+// over the full fig/abl suite when the layout change landed), are pinned as
+// constants for every scheduler kind on a randomized workload.  Any later
+// change that silently perturbs schedules — layout, event queue or engine
+// loop — breaks them.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -36,21 +27,12 @@ using sched::ThreadId;
 struct TraceResult {
   std::uint64_t run_fingerprint = 0;
   std::uint64_t lifecycle_fingerprint = 0;
-  std::vector<Tick> services;
-  std::int64_t events = 0;
-  std::int64_t dispatches = 0;
-  std::int64_t preemptions = 0;
-  Tick idle = 0;
-  Tick ctx_cost = 0;
-
-  bool operator==(const TraceResult&) const = default;
 };
 
-// One randomized workload on the timing wheel, batched or unbatched drain.
-// All randomness flows through Rng(seed) (no environment overrides: the
-// golden constants below depend on the seed alone), so two runs with the same
-// seed diverge only if the drain modes disagree on event order.
-TraceResult RunOnce(SchedKind kind, std::uint64_t seed, bool batch_drain) {
+// One randomized workload.  All randomness flows through Rng(seed) (no
+// environment overrides: the golden constants below depend on the seed
+// alone).
+TraceResult RunOnce(SchedKind kind, std::uint64_t seed) {
   common::Rng rng(seed);
   sched::SchedConfig config;
   config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
@@ -72,11 +54,8 @@ TraceResult RunOnce(SchedKind kind, std::uint64_t seed, bool batch_drain) {
 
   sim::EngineConfig engine_config;
   engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
-  engine_config.event_queue = sim::EventQueueKind::kTimingWheel;
-  engine_config.batch_drain = batch_drain;
   sim::Engine engine(*scheduler, engine_config);
 
-  TraceResult result;
   common::Fnv1a run_fp;
   common::Fnv1a life_fp;
   engine.SetRunIntervalHook(
@@ -111,9 +90,8 @@ TraceResult RunOnce(SchedKind kind, std::uint64_t seed, bool batch_drain) {
     engine.AddTaskAt(Msec(rng.UniformInt(0, 1000)),
                      workload::MakeInteract(next_tid++, 1.0, params, nullptr, "interact"));
   }
-  // Same-tick arrivals via the exit hook: the batched drain's hardest case —
-  // DrainCurrent must pick re-pushed events up behind the detached chain in
-  // exactly PopFront() order.
+  // Same-tick arrivals via the exit hook: handlers push events at the tick
+  // being drained, which must fire behind the ones already pending.
   engine.SetExitHook([&next_tid, &rng](sim::Engine& e, sim::Task& task) {
     if (task.label() == "short") {
       e.AddTaskAt(e.now() + Msec(rng.UniformInt(0, 50)),
@@ -144,31 +122,11 @@ TraceResult RunOnce(SchedKind kind, std::uint64_t seed, bool batch_drain) {
   });
 
   engine.RunUntil(Sec(10));
-
-  engine.ForEachTask(
-      [&](const sim::Task& task) { result.services.push_back(engine.Service(task.tid())); });
-  result.run_fingerprint = run_fp.value();
-  result.lifecycle_fingerprint = life_fp.value();
-  result.events = engine.events_processed();
-  result.dispatches = engine.dispatches();
-  result.preemptions = engine.preemptions();
-  result.idle = engine.idle_time();
-  result.ctx_cost = engine.total_context_switch_cost();
-  return result;
-}
-
-std::uint64_t FuzzSeedCount() {
-  if (const char* env = std::getenv("SFS_FUZZ_SEEDS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) {
-      return static_cast<std::uint64_t>(parsed);
-    }
-  }
-  return 6;
+  return {run_fp.value(), life_fp.value()};
 }
 
 // Seed-1 fingerprints recorded from the pre-SoA (AoS Entity, per-event drain)
-// build.  Regenerate by printing RunOnce(kind, 1, *) only if a deliberate
+// build.  Regenerate by printing RunOnce(kind, 1) only if a deliberate
 // schedule-affecting change lands — never to paper over an accidental one.
 struct Golden {
   SchedKind kind;
@@ -189,23 +147,12 @@ constexpr Golden kGoldenSeed1[] = {
 
 class LayoutParityTest : public ::testing::TestWithParam<SchedKind> {};
 
-TEST_P(LayoutParityTest, BatchedAndUnbatchedDrainsAreByteIdentical) {
-  for (std::uint64_t seed = 1; seed <= FuzzSeedCount(); ++seed) {
-    const TraceResult batched = RunOnce(GetParam(), seed, /*batch_drain=*/true);
-    const TraceResult unbatched = RunOnce(GetParam(), seed, /*batch_drain=*/false);
-    EXPECT_EQ(batched.run_fingerprint, unbatched.run_fingerprint) << "seed " << seed;
-    EXPECT_EQ(batched.lifecycle_fingerprint, unbatched.lifecycle_fingerprint)
-        << "seed " << seed;
-    EXPECT_TRUE(batched == unbatched) << "seed " << seed;
-  }
-}
-
 TEST_P(LayoutParityTest, MatchesPreRefactorGoldenFingerprints) {
   for (const Golden& golden : kGoldenSeed1) {
     if (golden.kind != GetParam()) {
       continue;
     }
-    const TraceResult run = RunOnce(GetParam(), /*seed=*/1, /*batch_drain=*/true);
+    const TraceResult run = RunOnce(GetParam(), /*seed=*/1);
     EXPECT_EQ(run.run_fingerprint, golden.run_fingerprint);
     EXPECT_EQ(run.lifecycle_fingerprint, golden.lifecycle_fingerprint);
   }

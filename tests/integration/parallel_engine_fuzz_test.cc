@@ -1,13 +1,12 @@
-// Differential fuzz: the timing-wheel and priority-queue engine backends must
-// produce byte-identical simulations for every scheduler kind, including the
-// sharded layer.  Each seed builds one randomized workload (hogs, interactive
-// sleepers, a churning short-job chain, mid-run weight surgery and a kill) and
-// runs it twice — once per EngineConfig::event_queue — comparing FNV-1a
+// Differential fuzz of sim::ParallelEngine against sim::Engine for every
+// scheduler kind, including the sharded layer.  Each seed builds one
+// randomized workload (hogs, interactive sleepers, a churning short-job
+// chain, mid-run weight surgery and a kill); runs are compared by FNV-1a
 // fingerprints of the complete run-interval trace and the scheduler-visible
 // lifecycle event stream, plus per-task services and the accounting counters.
 // Any divergence in any event's firing order changes the fingerprints.
 //
-// The parallel engine rides the same harness in two dimensions:
+// Two dimensions:
 //   * workers == 1 must be byte-identical to sim::Engine on the identical
 //     randomized workload (same seed stream), for every policy kind — the
 //     serial-oracle contract of parallel_engine.h.
@@ -16,6 +15,8 @@
 //     them (SetWeight, KillTask) and asserts the conservation invariants:
 //     arrivals == departures + live, every dispatch charged except tasks
 //     still on-CPU at the horizon.
+//
+// The suite keeps its EventQueueFuzzTest name so test ids stay stable.
 //
 // SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 6), as in
 // fuzz_test.cc; SFS_FUZZ_SHARDED pins the sharded dimension.
@@ -150,18 +151,17 @@ TraceResult Collect(EngineT& engine, const common::Fnv1a& run_fp, const common::
   return result;
 }
 
-// One randomized workload, driven to the horizon on the given event-queue
-// backend.  All randomness (workload shape and mid-run surgery draws) flows
-// through Rng(seed), so two runs with the same seed diverge only if the event
-// queues disagree on event order.
-TraceResult RunOnce(SchedKind kind, std::uint64_t seed, sim::EventQueueKind queue) {
+// One randomized workload, driven to the horizon on sim::Engine.  All
+// randomness (workload shape and mid-run surgery draws) flows through
+// Rng(seed), so two engines given the same seed diverge only if they disagree
+// on event order.
+TraceResult RunOnce(SchedKind kind, std::uint64_t seed) {
   common::Rng rng(seed);
   int num_cpus = 0;
   auto scheduler = DrawScheduler(kind, rng, &num_cpus);
 
   sim::EngineConfig engine_config;
   engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
-  engine_config.event_queue = queue;
   sim::Engine engine(*scheduler, engine_config);
 
   common::Fnv1a run_fp;
@@ -234,19 +234,9 @@ std::uint64_t FuzzSeedCount() {
 
 class EventQueueFuzzTest : public ::testing::TestWithParam<SchedKind> {};
 
-TEST_P(EventQueueFuzzTest, WheelAndHeapTracesAreByteIdentical) {
-  for (std::uint64_t seed = 1; seed <= FuzzSeedCount(); ++seed) {
-    const TraceResult wheel = RunOnce(GetParam(), seed, sim::EventQueueKind::kTimingWheel);
-    const TraceResult heap = RunOnce(GetParam(), seed, sim::EventQueueKind::kPriorityQueue);
-    EXPECT_EQ(wheel.run_fingerprint, heap.run_fingerprint) << "seed " << seed;
-    EXPECT_EQ(wheel.lifecycle_fingerprint, heap.lifecycle_fingerprint) << "seed " << seed;
-    EXPECT_TRUE(wheel == heap) << "seed " << seed;
-  }
-}
-
 TEST_P(EventQueueFuzzTest, ParallelEngineWorkersOneIsByteIdentical) {
   for (std::uint64_t seed = 1; seed <= FuzzSeedCount(); ++seed) {
-    const TraceResult serial = RunOnce(GetParam(), seed, sim::EventQueueKind::kTimingWheel);
+    const TraceResult serial = RunOnce(GetParam(), seed);
     const TraceResult parallel = RunOnceParallelSerial(GetParam(), seed);
     EXPECT_EQ(serial.run_fingerprint, parallel.run_fingerprint) << "seed " << seed;
     EXPECT_EQ(serial.lifecycle_fingerprint, parallel.lifecycle_fingerprint) << "seed " << seed;

@@ -1,7 +1,7 @@
 // Tests for the real-thread user-level executor.  Timing assertions are loose:
 // these run on shared CI hardware.
 
-#include "src/exec/executor.h"
+#include "src/runtime/executor.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
 
-namespace sfs::exec {
+namespace sfs::runtime {
 namespace {
 
 sched::SchedConfig Config(int cpus) {
@@ -441,4 +441,4 @@ TEST(ExecutorTest, PreemptLatenciesRecorded) {
 }
 
 }  // namespace
-}  // namespace sfs::exec
+}  // namespace sfs::runtime

@@ -32,7 +32,7 @@ import re
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
-SCOPED_DIRS = ["src/sched", "src/sim", "src/eval", "src/obs", "src/exec", "src/runtime"]
+SCOPED_DIRS = ["src/sched", "src/sim", "src/eval", "src/obs", "src/runtime"]
 # Unordered-container declarations are harvested repo-wide (a member declared
 # in a header may be iterated from a .cc elsewhere).
 HARVEST_DIRS = ["src"]
