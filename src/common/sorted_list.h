@@ -105,7 +105,7 @@ class SortedList {
     return moved;
   }
 
-  // Repositions a single element whose key changed.  O(distance moved).
+  // Repositions a single element whose key changed.  O(t): Insert scans from the front.
   void Reposition(T* elem) {
     list_.erase(elem);
     Insert(elem);

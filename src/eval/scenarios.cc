@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -311,94 +310,10 @@ double GmsDeviationForArrivals(sched::SchedKind kind, const std::vector<TimedArr
   return metrics::MaxGmsDeviation(actual, fluid);
 }
 
-RunScalingResult RunScaling(sched::QueueBackend backend, int threads, int cpus, Tick horizon,
-                            std::uint64_t seed, Tick quantum) {
-  SFS_CHECK(threads >= 1);
-  SchedConfig config = BaseConfig(cpus, quantum, /*readjust=*/true);
-  config.queue_backend = backend;
-  sched::Sfs sfs(config);
-  sim::Engine engine(sfs);
-  engine.ReserveTasks(static_cast<std::size_t>(threads));
-
-  common::Rng rng(seed);
-  std::vector<double> weights(static_cast<std::size_t>(threads));
-  for (double& w : weights) {
-    w = static_cast<double>(rng.UniformInt(1, 20));
-  }
-  for (int i = 0; i < threads; ++i) {
-    const auto tid = static_cast<ThreadId>(i + 1);
-    engine.AddTaskAt(0, workload::MakeInf(tid, weights[static_cast<std::size_t>(i)], "w"));
-  }
-
-  // FNV-1a over every completed run interval: any divergence in any dispatch
-  // decision — order, processor, start time or length — changes the value.
-  common::Fnv1a fingerprint;
-  engine.SetRunIntervalHook(
-      [&fingerprint](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        fingerprint.Mix(static_cast<std::uint64_t>(start));
-        fingerprint.Mix(static_cast<std::uint64_t>(len));
-        fingerprint.Mix(static_cast<std::uint64_t>(cpu));
-        fingerprint.Mix(static_cast<std::uint64_t>(tid));
-      });
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  engine.RunUntil(horizon);
-  const auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - wall_start)
-                        .count();
-
-  RunScalingResult result;
-  result.decisions = engine.dispatches();
-  result.schedule_fingerprint = fingerprint.value();
-  result.full_refreshes = sfs.full_refreshes();
-  result.refresh_repositions = sfs.refresh_repositions();
-  result.wall_ns_per_decision =
-      result.decisions > 0 ? static_cast<double>(wall) / static_cast<double>(result.decisions) : 0.0;
-
-  // GMS fluid reference in closed form: the runnable set is static (all Inf
-  // threads from t=0), so A_i^GMS = min(1, p * phi_i / sum phi) * horizon with
-  // phi from one readjustment pass over the weights.
-  std::vector<std::size_t> order(weights.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&weights](std::size_t a, std::size_t b) {
-    if (weights[a] != weights[b]) {
-      return weights[a] > weights[b];
-    }
-    return a < b;
-  });
-  std::vector<double> sorted_weights;
-  sorted_weights.reserve(weights.size());
-  for (std::size_t idx : order) {
-    sorted_weights.push_back(weights[idx]);
-  }
-  const std::vector<double> phi = sched::ReadjustVector(sorted_weights, cpus);
-  double phi_sum = 0.0;
-  for (double f : phi) {
-    phi_sum += f;
-  }
-  double max_dev = 0.0;
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const double rate = std::min(1.0, static_cast<double>(cpus) * phi[pos] / phi_sum);
-    const double fluid = rate * static_cast<double>(horizon);
-    const auto tid = static_cast<ThreadId>(order[pos] + 1);
-    const double actual = static_cast<double>(engine.ServiceIncludingRunning(tid));
-    max_dev = std::max(max_dev, std::abs(actual - fluid));
-  }
-  result.gms_deviation_ms = max_dev / 1000.0;
-  return result;
-}
-
 EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
                                            std::uint64_t seed, const ObsSinks& sinks) {
   SFS_CHECK(threads >= 1);
   SchedConfig config = BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true);
-  // The repo-default run-queue backend, which is also the fastest here: the
-  // runnable set stays small (mostly-blocked sleepers), so sorted-list scans
-  // beat skip-list pointer chasing and the event queue's share of the per-
-  // event cost is maximized.
-  config.queue_backend = sched::QueueBackend::kSortedList;
   sched::Sfs sfs(config);
 
   sim::EngineConfig engine_config;
@@ -466,7 +381,6 @@ ParallelEngineThroughputResult RunParallelEngineThroughput(
   SFS_CHECK(workers == 0 || workers == groups);
 
   SchedConfig config = BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true);
-  config.queue_backend = sched::QueueBackend::kSortedList;
   // Partitioned sharding (DESIGN.md §10): stealing, rebalancing and virtual-
   // time coupling all off, and every task home-hinted below.  This is the
   // configuration under which the parallel engine is *exact*, so per-group

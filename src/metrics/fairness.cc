@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/assert.h"
 
@@ -13,9 +14,9 @@ double WeightedServiceSpread(const std::vector<double>& services,
   if (services.empty()) {
     return 0.0;
   }
-  double lo = services[0] / phis[0];
-  double hi = lo;
-  for (std::size_t i = 1; i < services.size(); ++i) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (std::size_t i = 0; i < services.size(); ++i) {
     SFS_CHECK(phis[i] > 0);
     const double x = services[i] / phis[i];
     lo = std::min(lo, x);

@@ -4,9 +4,7 @@
 
 namespace sfs::sched {
 
-Bvt::Bvt(const SchedConfig& config) : GpsSchedulerBase(config) {
-  queue_.SetBackend(config.queue_backend);
-}
+Bvt::Bvt(const SchedConfig& config) : GpsSchedulerBase(config) {}
 
 Bvt::~Bvt() { queue_.Clear(); }
 

@@ -12,8 +12,8 @@
 
 #include <utility>
 
+#include "src/common/sorted_list.h"
 #include "src/sched/gps_base.h"
-#include "src/sched/run_queue.h"
 
 namespace sfs::sched {
 
@@ -23,7 +23,7 @@ struct ByEffectiveVtAsc {
     return {e.pass - e.warp_eff(), e.tid};
   }
 };
-using EffectiveVtQueue = RunQueue<Entity, &Entity::by_rq, ByEffectiveVtAsc>;
+using EffectiveVtQueue = common::SortedList<Entity, &Entity::by_rq, ByEffectiveVtAsc>;
 
 class Bvt : public GpsSchedulerBase {
  public:

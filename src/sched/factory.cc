@@ -12,6 +12,7 @@
 #include "src/sched/sfs.h"
 #include "src/sched/sharded.h"
 #include "src/sched/stride.h"
+#include "src/sched/tag_arith.h"
 #include "src/sched/timeshare.h"
 #include "src/sched/wfq.h"
 
@@ -26,9 +27,6 @@ constexpr SchedKind kAllSchedKinds[] = {
     SchedKind::kShardedSfs,   SchedKind::kShardedSfq,  SchedKind::kShardedWfq,
     SchedKind::kShardedStride, SchedKind::kShardedBvt,
 };
-
-constexpr QueueBackend kAllQueueBackends[] = {QueueBackend::kSortedList,
-                                              QueueBackend::kSkipList};
 
 constexpr ShardStealPolicy kAllStealPolicies[] = {ShardStealPolicy::kNone,
                                                   ShardStealPolicy::kMaxSurplus};
@@ -109,25 +107,6 @@ std::optional<SchedKind> ShardedKindFor(SchedKind kind) {
   }
 }
 
-std::string_view QueueBackendName(QueueBackend backend) {
-  switch (backend) {
-    case QueueBackend::kSortedList:
-      return "sorted_list";
-    case QueueBackend::kSkipList:
-      return "skip_list";
-  }
-  return "unknown";
-}
-
-std::optional<QueueBackend> ParseQueueBackend(std::string_view name) {
-  for (QueueBackend backend : kAllQueueBackends) {
-    if (name == QueueBackendName(backend)) {
-      return backend;
-    }
-  }
-  return std::nullopt;
-}
-
 std::string_view ShardStealPolicyName(ShardStealPolicy policy) {
   switch (policy) {
     case ShardStealPolicy::kNone:
@@ -151,10 +130,6 @@ std::string KnownSchedKindNames() {
   return JoinNames<SchedKind>(kAllSchedKinds, SchedKindName);
 }
 
-std::string KnownQueueBackendNames() {
-  return JoinNames<QueueBackend>(kAllQueueBackends, QueueBackendName);
-}
-
 std::string KnownShardStealPolicyNames() {
   return JoinNames<ShardStealPolicy>(kAllStealPolicies, ShardStealPolicyName);
 }
@@ -165,13 +140,14 @@ std::string ValidateSchedConfig(const SchedConfig& config) {
     error << "num_cpus must be >= 1 (got " << config.num_cpus << ")";
   } else if (config.quantum <= 0) {
     error << "quantum must be positive (got " << config.quantum << ")";
+  } else if (config.fixed_point_digits > TagArith::kMaxDigits) {
+    error << "fixed_point_digits must be <= " << TagArith::kMaxDigits << " (got "
+          << config.fixed_point_digits << ")";
   } else if (config.heuristic_k < 0) {
     error << "heuristic_k must be >= 0 (got " << config.heuristic_k << ")";
   } else if (config.heuristic_refresh_period <= 0) {
     error << "heuristic_refresh_period must be positive (got "
           << config.heuristic_refresh_period << ")";
-  } else if (QueueBackendName(config.queue_backend) == std::string_view("unknown")) {
-    error << "unknown queue backend; known backends: " << KnownQueueBackendNames();
   } else if (ShardStealPolicyName(config.shard_steal) == std::string_view("unknown")) {
     error << "unknown shard steal policy; known policies: " << KnownShardStealPolicyNames();
   } else if (config.shard_rebalance_period < 0) {

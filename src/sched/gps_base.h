@@ -30,9 +30,7 @@ class GpsSchedulerBase : public Scheduler {
 
  protected:
   explicit GpsSchedulerBase(const SchedConfig& config)
-      : Scheduler(config), arith_(config.fixed_point_digits) {
-    weight_queue_.SetBackend(config.queue_backend);
-  }
+      : Scheduler(config), arith_(config.fixed_point_digits) {}
 
   ~GpsSchedulerBase() override { weight_queue_.Clear(); }
 

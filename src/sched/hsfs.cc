@@ -58,7 +58,6 @@ HierarchicalSfs::HierarchicalSfs(const SchedConfig& config)
   root->id = kRootClass;
   root->weight = 1.0;
   root->share = 1.0;
-  root->members.SetBackend(config.queue_backend);
   nodes_.emplace(kRootClass, std::move(root));
 }
 
@@ -79,7 +78,6 @@ void HierarchicalSfs::CreateClass(ClassId id, ClassId parent, Weight weight,
   node->parent = &parent_node;
   node->weight = weight;
   node->policy = policy;
-  node->members.SetBackend(config().queue_backend);
   parent_node.children.push_back(node.get());
   nodes_.emplace(id, std::move(node));
   RecomputeShares();

@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "src/common/intrusive_list.h"
-#include "src/sched/run_queue.h"
+#include "src/common/sorted_list.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/tag_arith.h"
 
@@ -138,7 +138,7 @@ class HierarchicalSfs : public Scheduler {
     // run queue — the level virtual time is then the front element.
     // Round-robin classes need rotation order, which no key expresses, so they
     // keep the FIFO list; exactly one of the two is populated, per `policy`.
-    RunQueue<Entity, &Entity::by_rq, HsfsByStartAsc> members;
+    common::SortedList<Entity, &Entity::by_rq, HsfsByStartAsc> members;
     common::IntrusiveList<Entity, &Entity::by_rq> rr_members;
   };
 

@@ -22,13 +22,11 @@
 //
 // Engineering faithful to Section 3:
 //   * three orders over the runnable threads: descending weight (the weight
-//     queue in GpsSchedulerBase, on the backend selected by
-//     SchedConfig::queue_backend); ascending start tag, kept as an indexed
-//     binary min-heap; and ascending surplus, kept as a sorted slot array
-//     (sfs_orders.h).  The two SFS orders are contiguous arrays whatever the
-//     queue_backend — Section 3.2 names the sorted lists as the constant-
-//     factor bottleneck, and the exact algorithm needs only the minimum start
-//     tag;
+//     queue in GpsSchedulerBase, a common::SortedList); ascending start tag,
+//     kept as an indexed binary min-heap; and ascending surplus, kept as a
+//     sorted slot array (sfs_orders.h).  The two SFS orders are contiguous
+//     arrays — Section 3.2 names the sorted lists as the constant-factor
+//     bottleneck, and the exact algorithm needs only the minimum start tag;
 //   * surpluses are recomputed — and only the entities whose order actually
 //     changed moved — when the virtual time advances or weights were
 //     readjusted;

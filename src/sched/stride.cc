@@ -4,9 +4,7 @@
 
 namespace sfs::sched {
 
-Stride::Stride(const SchedConfig& config) : GpsSchedulerBase(config) {
-  queue_.SetBackend(config.queue_backend);
-}
+Stride::Stride(const SchedConfig& config) : GpsSchedulerBase(config) {}
 
 Stride::~Stride() { queue_.Clear(); }
 

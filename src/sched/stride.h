@@ -12,15 +12,15 @@
 
 #include <utility>
 
+#include "src/common/sorted_list.h"
 #include "src/sched/gps_base.h"
-#include "src/sched/run_queue.h"
 
 namespace sfs::sched {
 
 struct ByPassAsc {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {e.pass, e.tid}; }
 };
-using PassQueue = RunQueue<Entity, &Entity::by_rq, ByPassAsc>;
+using PassQueue = common::SortedList<Entity, &Entity::by_rq, ByPassAsc>;
 
 class Stride : public GpsSchedulerBase {
  public:

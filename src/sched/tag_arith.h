@@ -20,10 +20,12 @@ namespace sfs::sched {
 
 class TagArith {
  public:
-  // digits < 0: exact double arithmetic.  digits in [0, 8]: emulate the kernel's
-  // 10^digits scaling factor.
+  static constexpr int kMaxDigits = 8;
+
+  // digits < 0: exact double arithmetic.  digits in [0, kMaxDigits]: emulate
+  // the kernel's 10^digits scaling factor.
   explicit TagArith(int digits) : digits_(digits), scale_(digits >= 0 ? common::Pow10(digits) : 1) {
-    SFS_CHECK(digits <= 8);
+    SFS_CHECK(digits <= kMaxDigits);
   }
 
   bool fixed_point() const { return digits_ >= 0; }

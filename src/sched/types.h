@@ -22,16 +22,6 @@ inline constexpr CpuId kInvalidCpu = -1;
 // the readjustment algorithm produces fractional instantaneous weights.
 using Weight = double;
 
-// Run-queue backend for the GPS scheduler family's sorted queues (Section 3.2:
-// insertion is O(t) on the kernel's sorted lists; "binary search" — here an
-// indexed skip list — shaves it to O(log t)).  Both backends obey the same
-// ascending-key, FIFO-among-ties ordering contract, and every queue key carries
-// a thread-id tie-break, so schedules are byte-identical across backends.
-enum class QueueBackend {
-  kSortedList,  // paper-faithful linear-scan sorted list (default)
-  kSkipList,    // indexed skip list, O(log t) insert/reposition
-};
-
 // Victim-selection policy for the sharded scheduling layer's idle-pull work
 // stealing (sched::Sharded).  Kept an enum so the strawman (no stealing, the
 // paper's Section 1.2 partitioned design) and the production answer share one
@@ -74,12 +64,6 @@ struct SchedConfig {
   // rebased against the minimum start tag.  Kept low enough to exercise the
   // path in tests; high enough to be invisible in normal runs.
   double tag_rebase_threshold = 1e15;
-
-  // Backend for every RunQueue the scheduler maintains (the weight queue; SFQ's
-  // start-tag, WFQ's finish-tag, stride's pass queue, ...).  SFS's start-tag
-  // and surplus orders are slot arrays that do not depend on it.  The
-  // skip-list backend changes only constants, never decisions.
-  QueueBackend queue_backend = QueueBackend::kSortedList;
 
   // Processor-affinity extension (Section 5 future work): when > 0, a dispatch
   // may pick any thread whose surplus is within this many ticks of the minimum,

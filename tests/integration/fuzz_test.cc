@@ -6,8 +6,6 @@
 //
 // SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 6); CI sets a
 // small value to keep the suite under a minute on slow runners.
-// SFS_FUZZ_QUEUE_BACKEND ("sorted_list" / "skip_list") pins the run-queue
-// backend; unset, each seed draws one at random so both are fuzzed.
 // SFS_FUZZ_SHARDED ("0" / "1") pins whether GPS policies run behind the
 // sharded per-CPU layer; unset, each seed draws it (plus random steal,
 // rebalance and coupling knobs) so flat and sharded variants are both fuzzed.
@@ -37,14 +35,8 @@ std::vector<Tick> RunOnce(SchedKind kind, std::uint64_t seed, Tick* idle_out,
   sched::SchedConfig config;
   config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
   config.quantum = Msec(rng.UniformInt(5, 200));
-  // Fuzz both run-queue backends: per-seed draw, overridable via env.
-  config.queue_backend =
-      rng.Bernoulli(0.5) ? sched::QueueBackend::kSkipList : sched::QueueBackend::kSortedList;
-  if (const char* env = std::getenv("SFS_FUZZ_QUEUE_BACKEND"); env != nullptr) {
-    const auto parsed = sched::ParseQueueBackend(env);
-    EXPECT_TRUE(parsed.has_value()) << "bad SFS_FUZZ_QUEUE_BACKEND: " << env;
-    config.queue_backend = parsed.value_or(config.queue_backend);
-  }
+  // Former run-queue backend draw, kept so each seed still yields the same workload.
+  static_cast<void>(rng.Bernoulli(0.5));
   // Sharded dimension: GPS policies also run behind per-CPU shards with
   // randomized steal/rebalance/coupling knobs, drawn per seed.
   SchedKind effective_kind = kind;

@@ -20,6 +20,11 @@ TEST(FairnessTest, WeightedServiceSpreadDetectsSkew) {
   EXPECT_DOUBLE_EQ(WeightedServiceSpread({40.0, 10.0}, {3.0, 1.0}), 40.0 / 3.0 - 10.0);
 }
 
+TEST(FairnessDeathTest, WeightedServiceSpreadChecksEveryWeight) {
+  EXPECT_DEATH(WeightedServiceSpread({30.0, 10.0}, {0.0, 1.0}), "CHECK failed");
+  EXPECT_DEATH(WeightedServiceSpread({30.0, 10.0}, {3.0, 0.0}), "CHECK failed");
+}
+
 TEST(FairnessTest, JainIndexOneForProportional) {
   EXPECT_NEAR(JainIndex({30.0, 10.0, 20.0}, {3.0, 1.0, 2.0}), 1.0, 1e-12);
 }

@@ -28,15 +28,6 @@ TEST(FactoryTest, UnknownNameIsNullopt) {
   EXPECT_FALSE(ParseSchedKind("SFS").has_value());  // names are lower-case
 }
 
-TEST(FactoryTest, QueueBackendNameParseRoundTrip) {
-  for (const QueueBackend backend : {QueueBackend::kSortedList, QueueBackend::kSkipList}) {
-    const auto parsed = ParseQueueBackend(QueueBackendName(backend));
-    ASSERT_TRUE(parsed.has_value()) << QueueBackendName(backend);
-    EXPECT_EQ(*parsed, backend);
-  }
-  EXPECT_FALSE(ParseQueueBackend("btree").has_value());
-  EXPECT_FALSE(ParseQueueBackend("").has_value());
-}
 
 TEST(FactoryTest, CreatesEveryKind) {
   SchedConfig config;
@@ -133,6 +124,12 @@ TEST(FactoryTest, MakeSchedulerValidatesShardingKnobs) {
   config.num_cpus = 0;
   EXPECT_EQ(MakeScheduler("sfs", config, &error), nullptr);
   EXPECT_NE(error.find("num_cpus"), std::string::npos) << error;
+
+  // TagArith CHECK-fails beyond 8 digits; MakeScheduler must report it instead.
+  config = SchedConfig{};
+  config.fixed_point_digits = 9;
+  EXPECT_EQ(MakeScheduler("sfs", config, &error), nullptr);
+  EXPECT_NE(error.find("fixed_point_digits"), std::string::npos) << error;
 }
 
 TEST(FactoryTest, ValidateSchedConfigAcceptsDefaults) {

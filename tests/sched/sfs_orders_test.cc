@@ -4,7 +4,7 @@
 //     under random inserts, removals, key increases and decreases and uniform
 //     rebases: same minimum, and a best-first first-k walk that visits exactly
 //     the set's first k elements in order.
-//   * SurplusArray must agree with a sorted-list RunQueue on the same
+//   * SurplusArray must agree with a common::SortedList on the same
 //     (surplus, tid) key: same order after every insert, removal and
 //     reposition in either direction, and after a refresh the same order and
 //     the same moved count as SortedList::Resort() on identical keys.
@@ -22,7 +22,7 @@
 
 #include "gtest/gtest.h"
 #include "src/common/rng.h"
-#include "src/sched/run_queue.h"
+#include "src/common/sorted_list.h"
 
 namespace sfs::sched {
 namespace {
@@ -32,7 +32,7 @@ constexpr int kPoolSize = 64;
 struct BySurplusThenTid {
   static std::pair<double, ThreadId> Key(const Entity& e) { return {e.surplus(), e.tid}; }
 };
-using SurplusOracle = RunQueue<Entity, &Entity::by_rq, BySurplusThenTid>;
+using SurplusOracle = common::SortedList<Entity, &Entity::by_rq, BySurplusThenTid>;
 
 void AssignTids(std::vector<Entity>& pool) {
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -184,13 +184,12 @@ TEST(SurplusArrayTest, RefreshMovesExactlyTheSlotsBelowTheRunningMax) {
   EXPECT_TRUE(array.Valid());
 }
 
-TEST(SurplusArrayTest, RandomOpsMatchSortedListRunQueue) {
+TEST(SurplusArrayTest, RandomOpsMatchSortedList) {
   std::vector<Entity> pool(kPoolSize);
   AssignTids(pool);
   std::vector<double> phi(kPoolSize);
   SurplusArray array;
   SurplusOracle oracle;
-  ASSERT_EQ(oracle.backend(), QueueBackend::kSortedList);
   std::vector<bool> queued(kPoolSize, false);
   common::Rng rng(34);
   std::size_t total_moved = 0;
