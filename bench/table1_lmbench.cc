@@ -112,31 +112,18 @@ double CtxSwitchNs(SchedKind kind, int threads, int kb) {
 // dispatch mutex; abl_lock_contention isolates that difference as p grows.
 void RealThreadSection(Reporter& reporter) {
   using sfs::runtime::Executor;
-  sfs::common::Table table({"config", "scheduler", "runtime", "median switch (us)",
-                            "p95 (us)", "switches"});
+  sfs::common::Table table(
+      {"config", "scheduler", "median switch (us)", "p95 (us)", "switches"});
   struct Shape {
     int procs;
     int kb;
   };
-  // Runtime axis: wake mechanics (targeted parking/mailbox vs broadcast herd)
-  // x dispatcher affinity (floating vs pinned to core cpu%cores).  The slug
-  // doubles as the JSON key segment for the non-default cells.
-  struct Variant {
-    const char* label;
-    const char* slug;
-    Executor::WakeMode wake;
-    bool pinned;
-  };
-  constexpr Variant kDefault{"targeted/unpinned", "", Executor::WakeMode::kTargeted,
-                             false};
-  auto run_cell = [&](SchedKind kind, Shape shape, const Variant& variant) {
+  auto run_cell = [&](SchedKind kind, Shape shape) {
     SchedConfig config;
     config.num_cpus = 2;
     auto scheduler = CreateScheduler(kind, config);
     Executor::Config exec_config;
     exec_config.quantum = sfs::Msec(2);
-    exec_config.wake_mode = variant.wake;
-    exec_config.pin_dispatchers = variant.pinned;
     Executor executor(*scheduler, exec_config);
     for (ThreadId tid = 0; tid < shape.procs; ++tid) {
       auto buffer = std::make_shared<std::vector<char>>(
@@ -159,38 +146,22 @@ void RealThreadSection(Reporter& reporter) {
     const std::string shape_label =
         std::to_string(shape.procs) + "proc_" + std::to_string(shape.kb) + "KB";
     table.AddRow({std::to_string(shape.procs) + " proc/" + std::to_string(shape.kb) + "KB",
-                  std::string(scheduler->name()), variant.label,
+                  std::string(scheduler->name()),
                   sfs::common::Table::Cell(lat.Percentile(50), 1),
                   sfs::common::Table::Cell(lat.Percentile(95), 1),
                   sfs::common::Table::Cell(lat.count())});
-    // The default variant keeps the historical key so trajectories stay
-    // comparable across PRs; variants append their slug.
-    const std::string key_mid = variant.slug[0] == '\0'
-                                    ? std::string(scheduler->name())
-                                    : std::string(scheduler->name()) + "/" + variant.slug;
-    reporter.Timing("executor/" + shape_label + "/" + key_mid + "/median_us",
+    reporter.Timing("executor/" + shape_label + "/" + std::string(scheduler->name()) +
+                        "/median_us",
                     lat.Percentile(50));
   };
   for (const Shape shape : {Shape{2, 0}, Shape{8, 16}, Shape{16, 64}}) {
     for (const SchedKind kind :
          {SchedKind::kTimeshare, SchedKind::kSfs, SchedKind::kShardedSfs}) {
-      run_cell(kind, shape, kDefault);
+      run_cell(kind, shape);
     }
   }
-  // Runtime matrix on the contended shape: per-dispatcher wake mechanics and
-  // core pinning under sharded SFS, the configuration abl_lock_contention
-  // studies in depth.
-  for (const Variant variant :
-       {Variant{"broadcast/unpinned", "broadcast_unpinned", Executor::WakeMode::kBroadcast,
-                false},
-        Variant{"targeted/pinned", "targeted_pinned", Executor::WakeMode::kTargeted, true},
-        Variant{"broadcast/pinned", "broadcast_pinned", Executor::WakeMode::kBroadcast,
-                true}}) {
-    run_cell(SchedKind::kShardedSfs, Shape{8, 16}, variant);
-  }
   reporter.out() << "\n=== Table 1 (real threads): cooperative switch latency under the\n"
-                 << "user-level runtime (2 virtual CPUs, 2ms quantum, 30us work units;\n"
-                 << "'runtime' = wake mode / dispatcher affinity) ===\n\n";
+                 << "user-level runtime (2 virtual CPUs, 2ms quantum, 30us work units) ===\n\n";
   table.Print(reporter.out());
   reporter.out() << '\n';
 }

@@ -4,8 +4,8 @@
 // re-exports).  Runs a blocking workload on sharded SFS through the runtime's
 // targeted wake path: each CPU's dispatcher parks on its own futex-style
 // slot, timer wakeups are routed to the woken thread's home shard through a
-// wait-free mailbox, and each dispatch decision (mailbox drain + deferred
-// charge + pick) happens under one dispatch-lock hold.
+// wait-free mailbox, and each dispatch decision (mailbox drain + pick)
+// happens under one dispatch-lock hold.
 //
 //   $ ./examples/runtime_quickstart
 //
@@ -30,11 +30,9 @@ int main() {
   sched_config.num_cpus = 2;
   sched::Sharded<sched::Sfs> scheduler(sched_config);
 
-  // 2. The runtime: one dispatcher thread per CPU, targeted wakeups (the
-  //    default), batched decisions.
+  // 2. The runtime: one dispatcher thread per CPU, targeted wakeups.
   runtime::Executor::Config config;
   config.quantum = Msec(5);
-  config.batch_dispatch = true;
   runtime::Executor executor(scheduler, config);
 
   // 3. Tasks.  Four spinners, weights 3,1,3,1 — weight-balanced placement

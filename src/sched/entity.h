@@ -119,7 +119,7 @@ struct Entity {
 
   int priority = 0;               // time-sharing static priority
   CpuId cpu = kInvalidCpu;        // processor currently running this thread
-  CpuId last_cpu = kInvalidCpu;   // processor that last ran it (affinity hint)
+  CpuId last_cpu = kInvalidCpu;   // processor that last ran it (for affinity-aware picks)
   CpuId partition = kInvalidCpu;  // home partition (partitioned baseline only)
 
   // Slot of this entity in SFS's start-tag heap (StartTagHeap), -1 when absent.

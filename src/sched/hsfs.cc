@@ -1,6 +1,7 @@
 #include "src/sched/hsfs.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/common/assert.h"
 
@@ -70,7 +71,7 @@ HierarchicalSfs::~HierarchicalSfs() {
 
 void HierarchicalSfs::CreateClass(ClassId id, ClassId parent, Weight weight,
                                   IntraClassPolicy policy) {
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(std::isfinite(weight) && weight > 0);
   SFS_CHECK(nodes_.find(id) == nodes_.end());
   Node& parent_node = FindNode(parent);
   auto node = std::make_unique<Node>();
@@ -84,7 +85,7 @@ void HierarchicalSfs::CreateClass(ClassId id, ClassId parent, Weight weight,
 }
 
 void HierarchicalSfs::SetClassWeight(ClassId id, Weight weight) {
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(std::isfinite(weight) && weight > 0);
   SFS_CHECK(id != kRootClass);
   FindNode(id).weight = weight;
   RecomputeShares();

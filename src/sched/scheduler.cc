@@ -1,5 +1,7 @@
 #include "src/sched/scheduler.h"
 
+#include <cmath>
+
 #include "src/common/assert.h"
 
 namespace sfs::sched {
@@ -80,7 +82,7 @@ void Scheduler::AddThread(ThreadId tid, Weight weight) {
 
 void Scheduler::AddThread(ThreadId tid, Weight weight, CpuId home) {
   SFS_CHECK(tid != kInvalidThread);
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(std::isfinite(weight) && weight > 0);
   auto entity = std::make_unique<Entity>();
   entity->tid = tid;
   entity->weight() = weight;
@@ -125,7 +127,7 @@ void Scheduler::Wakeup(ThreadId tid) {
 }
 
 void Scheduler::SetWeight(ThreadId tid, Weight weight) {
-  SFS_CHECK(weight > 0);
+  SFS_CHECK(std::isfinite(weight) && weight > 0);
   Entity& e = FindEntity(tid);
   const Weight old_weight = e.weight();
   e.weight() = weight;

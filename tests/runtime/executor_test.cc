@@ -233,77 +233,6 @@ TEST(ExecutorTest, MultiDispatcherStressSharded) {
   EXPECT_GT(total, Msec(50));
 }
 
-TEST(ExecutorTest, SerializedDispatchFallbackWorks) {
-  // Config::serialize_dispatch funnels every scheduler call through one
-  // executor-wide mutex (the pre-concurrent executor's behavior); the full
-  // pick/grant/block/wakeup/exit machinery must still work under it.
-  sched::SchedConfig config = Config(2);
-  sched::Sharded<sched::Sfs> scheduler(config);
-  Executor::Config exec_config;
-  exec_config.quantum = Msec(2);
-  exec_config.serialize_dispatch = true;
-  Executor executor(scheduler, exec_config);
-
-  std::atomic<bool> blocker_done{false};
-  auto rounds_left = std::make_shared<std::atomic<int>>(5);
-  executor.AddTask(1, 1.0, [rounds_left, &blocker_done]() -> Executor::WorkResult {
-    SpinFor(100);
-    if (rounds_left->fetch_sub(1) == 1) {
-      blocker_done.store(true);
-      return Executor::WorkResult::Done();
-    }
-    return Executor::WorkResult::Block(Msec(1));
-  });
-  executor.AddTask(2, 1.0, [] {
-    SpinFor(50);
-    return true;
-  });
-  executor.Run(Msec(400));
-  EXPECT_TRUE(blocker_done.load());
-  EXPECT_GT(executor.dispatches(), 5);
-  EXPECT_GT(executor.CpuTime(2), 0);
-}
-
-TEST(ExecutorTest, BatchDispatchDeferredChargeWorks) {
-  // Config::batch_dispatch parks each voluntary-continue charge and applies it
-  // under the next pick's dispatch-lock hold.  The full machinery — spinners
-  // whose every slice takes the deferred path, blockers whose lifecycle
-  // charges never defer, finite tasks that exit, and the end-of-run flush of a
-  // still-parked charge — must work, and CPU time must be fully accounted.
-  sched::SchedConfig config = Config(2);
-  sched::Sharded<sched::Sfs> scheduler(config);
-  Executor::Config exec_config;
-  exec_config.quantum = Msec(2);
-  exec_config.batch_dispatch = true;
-  Executor executor(scheduler, exec_config);
-
-  std::atomic<bool> blocker_done{false};
-  auto rounds_left = std::make_shared<std::atomic<int>>(5);
-  executor.AddTask(1, 1.0, [rounds_left, &blocker_done]() -> Executor::WorkResult {
-    SpinFor(100);
-    if (rounds_left->fetch_sub(1) == 1) {
-      blocker_done.store(true);
-      return Executor::WorkResult::Done();
-    }
-    return Executor::WorkResult::Block(Msec(1));
-  });
-  executor.AddTask(2, 1.0, [] {
-    SpinFor(50);
-    return true;
-  });
-  executor.AddTask(3, 2.0, [] {
-    SpinFor(50);
-    return true;
-  });
-  executor.Run(Msec(400));
-  EXPECT_TRUE(blocker_done.load());
-  EXPECT_GT(executor.dispatches(), 5);
-  // The run-long spinners' slices all go through the deferred-charge path;
-  // a lost park or missing final flush would leave their CPU time at zero.
-  EXPECT_GT(executor.CpuTime(2), 0);
-  EXPECT_GT(executor.CpuTime(3), 0);
-}
-
 TEST(ExecutorTest, WeightedFairnessAcrossShards) {
   // Two dispatchers over two SFS shards; weight-balanced placement puts one
   // heavy and one light spinner on each shard, so per-shard proportional
