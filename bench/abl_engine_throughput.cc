@@ -108,13 +108,15 @@ SFS_EXPERIMENT(abl_engine_throughput,
   reporter.Set("rows", std::move(rows));
 }
 
-// Ablation A13 (DESIGN.md §10): the same sweep under sim::ParallelEngine over
-// a *partitioned* sharded-SFS (stealing/rebalancing/coupling off, tasks
-// home-hinted tid % p), where the parallel engine is exact: each cell runs
-// the serial sim::Engine oracle and the parallel engine with W = min(4, p)
-// workers over the identical workload and CHECK-asserts byte-identical
-// per-group fingerprints.  Two big cells extend the axes — t=100k x p=64
-// (oracle + parallel) and t=1M x p=1024 (parallel-only, shorter horizon) —
+// Ablation A13 (DESIGN.md §10): the same sweep under the multi-worker
+// sim::Engine over a *partitioned* sharded-SFS (stealing/rebalancing/coupling
+// off, tasks home-hinted tid % p), where the engine is exact at any worker
+// count: each cell runs the engine with one worker (the serial oracle) and
+// with W = min(4, p) workers over the identical workload and CHECK-asserts
+// byte-identical per-group fingerprints.  The JSON keeps the rows' historical
+// engine names: "serial_sharded" is W = 1, "parallel_wN" is W = N.  Two big
+// cells extend the axes — t=100k x p=64 (oracle + parallel) and t=1M x
+// p=1024 (parallel-only, shorter horizon) —
 // so the engine's headline scale claim is measured, not asserted.  Both are
 // gated behind the same SFS_ENGINE_THROUGHPUT_MAX_THREADS cap as A12's
 // thread axis.  Wall-clock speedup depends on host cores; per-group
@@ -200,7 +202,7 @@ SFS_EXPERIMENT(abl_parallel_engine,
     double serial_ns = 0.0;
     if (cell.oracle) {
       const auto oracle = sfs::eval::RunParallelEngineThroughput(
-          /*workers=*/0, workers, cell.threads, cell.cpus, cell.horizon, reporter.seed());
+          /*workers=*/1, workers, cell.threads, cell.cpus, cell.horizon, reporter.seed());
       identical = oracle.group_schedule_fingerprints == par.group_schedule_fingerprints &&
                   oracle.group_lifecycle_fingerprints == par.group_lifecycle_fingerprints &&
                   oracle.events == par.events && oracle.decisions == par.decisions &&

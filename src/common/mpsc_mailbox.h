@@ -1,12 +1,13 @@
 // MpscMailbox — an unbounded multi-producer / single-consumer message queue
-// for cross-shard event delivery in the parallel simulation engine.
+// for cross-shard event delivery in the multi-worker simulation engine.
 //
 // Vyukov-style intrusive MPSC: producers push with one exchange on an atomic
 // head (wait-free, no CAS loop), the consumer walks a plain singly linked list
 // from a stub node.  The consumer observes messages from any one producer in
 // that producer's push order (per-producer FIFO), which is the only ordering
-// the epoch protocol needs: sim::ParallelEngine drains each (source, target)
-// mailbox with a single source, so the drain order is total and deterministic.
+// the epoch protocol needs: sim::Engine (workers > 1) drains each
+// (source, target) mailbox with a single source, so the drain order is total
+// and deterministic.
 //
 // DrainAll() detaches everything pushed before the call in one pass; messages
 // pushed concurrently with a drain are either delivered by it or survive

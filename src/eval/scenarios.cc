@@ -13,7 +13,6 @@
 #include "src/sched/gms.h"
 #include "src/sched/sfs.h"
 #include "src/sim/engine.h"
-#include "src/sim/parallel_engine.h"
 #include "src/workload/workloads.h"
 
 namespace sfs::eval {
@@ -373,19 +372,18 @@ EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
   return result;
 }
 
-ParallelEngineThroughputResult RunParallelEngineThroughput(
-    int workers, int groups, int threads, int cpus, Tick horizon, std::uint64_t seed,
-    Tick epoch, const ObsSinks& sinks) {
+ParallelEngineThroughputResult RunParallelEngineThroughput(int workers, int groups, int threads,
+                                                           int cpus, Tick horizon,
+                                                           std::uint64_t seed) {
   SFS_CHECK(threads >= 1);
   SFS_CHECK(groups >= 1 && groups <= cpus);
-  SFS_CHECK(workers == 0 || workers == groups);
+  SFS_CHECK(workers == 1 || workers == groups);
 
   SchedConfig config = BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true);
   // Partitioned sharding (DESIGN.md §10): stealing, rebalancing and virtual-
   // time coupling all off, and every task home-hinted below.  This is the
-  // configuration under which the parallel engine is *exact*, so per-group
-  // fingerprints are comparable across worker counts and against the serial
-  // oracle.
+  // configuration under which the multi-worker engine is *exact*, so
+  // per-group fingerprints are comparable across worker counts.
   config.shard_steal = sched::ShardStealPolicy::kNone;
   config.shard_rebalance_period = 0;
   config.shard_coupling = 0.0;
@@ -397,7 +395,7 @@ ParallelEngineThroughputResult RunParallelEngineThroughput(
   }
 
   // Worker g owns CPUs [(g*cpus)/groups, ((g+1)*cpus)/groups) — this is the
-  // inverse map, matching ParallelEngine's split exactly.
+  // inverse map, matching sim::Engine's split exactly.
   auto group_of_cpu = [groups, cpus](std::int64_t cpu) {
     return static_cast<std::size_t>(((cpu + 1) * groups - 1) / cpus);
   };
@@ -436,86 +434,44 @@ ParallelEngineThroughputResult RunParallelEngineThroughput(
   result.group_schedule_fingerprints.resize(static_cast<std::size_t>(groups));
   result.group_lifecycle_fingerprints.resize(static_cast<std::size_t>(groups));
 
-  if (workers == 0) {
-    // Serial oracle: sim::Engine over the identical scheduler and workload,
-    // splitting the fingerprint streams by group after the fact.  Run
-    // intervals key on the CPU they happened on; lifecycle events key on the
-    // task's home hint (where the partitioned scheduler placed it).
-    sim::EngineConfig engine_config;
-    engine_config.trace = sinks.trace;
-    engine_config.metrics = sinks.metrics;
-    sim::Engine engine(*scheduler, engine_config);
-    engine.ReserveTasks(static_cast<std::size_t>(threads) + 4);
-    engine.SetRunIntervalHook(
-        [&run_fps, group_of_cpu](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-          common::Fnv1a& fp = run_fps[group_of_cpu(cpu)];
-          fp.Mix(static_cast<std::uint64_t>(start));
-          fp.Mix(static_cast<std::uint64_t>(len));
-          fp.Mix(static_cast<std::uint64_t>(cpu));
-          fp.Mix(static_cast<std::uint64_t>(tid));
-        });
-    engine.SetSchedEventHook(
-        [&life_fps, group_of_cpu](sim::SchedEvent event, const sim::Task& task, Tick now) {
-          common::Fnv1a& fp = life_fps[group_of_cpu(task.home_cpu())];
-          fp.Mix(static_cast<std::uint64_t>(event));
-          fp.Mix(static_cast<std::uint64_t>(task.tid()));
-          fp.Mix(static_cast<std::uint64_t>(now));
-        });
-    for (auto& [at, task] : arrivals) {
-      engine.AddTaskAt(at, std::move(task));
-    }
-    const auto wall_start = std::chrono::steady_clock::now();
-    engine.RunUntil(horizon);
-    result.wall_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
-    result.events = engine.events_processed();
-    result.decisions = engine.dispatches();
-    result.preemptions = engine.preemptions();
-  } else {
-    sim::ParallelEngineConfig engine_config;
-    engine_config.workers = workers;
-    engine_config.epoch = epoch;
-    engine_config.trace = sinks.trace;
-    engine_config.metrics = sinks.metrics;
-    sim::ParallelEngine engine(*scheduler, engine_config);
-    engine.ReserveTasks(static_cast<std::size_t>(threads) + 4);
-    // Under partitioning the hook's worker id equals the group key (tasks
-    // never leave their home group), so indexing by group is single-writer
-    // per Fnv1a accumulator — no locks needed.
-    engine.SetRunIntervalHook(
-        [&run_fps, group_of_cpu](int /*worker*/, Tick start, Tick len, sched::CpuId cpu,
-                                 ThreadId tid) {
-          common::Fnv1a& fp = run_fps[group_of_cpu(cpu)];
-          fp.Mix(static_cast<std::uint64_t>(start));
-          fp.Mix(static_cast<std::uint64_t>(len));
-          fp.Mix(static_cast<std::uint64_t>(cpu));
-          fp.Mix(static_cast<std::uint64_t>(tid));
-        });
-    engine.SetSchedEventHook(
-        [&life_fps, group_of_cpu](int /*worker*/, sim::SchedEvent event,
-                                  const sim::Task& task, Tick now) {
-          common::Fnv1a& fp = life_fps[group_of_cpu(task.home_cpu())];
-          fp.Mix(static_cast<std::uint64_t>(event));
-          fp.Mix(static_cast<std::uint64_t>(task.tid()));
-          fp.Mix(static_cast<std::uint64_t>(now));
-        });
-    for (auto& [at, task] : arrivals) {
-      engine.AddTaskAt(at, std::move(task));
-    }
-    const auto wall_start = std::chrono::steady_clock::now();
-    engine.RunUntil(horizon);
-    result.wall_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
-    result.events = engine.events_processed();
-    result.decisions = engine.dispatches();
-    result.preemptions = engine.preemptions();
-    result.mailed_wakeups = engine.mailed_wakeups();
-    result.epochs = engine.epochs();
+  sim::EngineConfig engine_config;
+  engine_config.workers = workers;
+  sim::Engine engine(*scheduler, engine_config);
+  engine.ReserveTasks(static_cast<std::size_t>(threads) + 4);
+  // Run intervals key on the CPU they happened on; lifecycle events key on the
+  // task's home hint (where the partitioned scheduler placed it).  Under
+  // partitioning a group's events all come from the worker owning it (tasks
+  // never leave their home group), so each Fnv1a accumulator has a single
+  // writer — no locks needed.
+  engine.SetRunIntervalHook(
+      [&run_fps, group_of_cpu](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
+        common::Fnv1a& fp = run_fps[group_of_cpu(cpu)];
+        fp.Mix(static_cast<std::uint64_t>(start));
+        fp.Mix(static_cast<std::uint64_t>(len));
+        fp.Mix(static_cast<std::uint64_t>(cpu));
+        fp.Mix(static_cast<std::uint64_t>(tid));
+      });
+  engine.SetSchedEventHook(
+      [&life_fps, group_of_cpu](sim::SchedEvent event, const sim::Task& task, Tick now) {
+        common::Fnv1a& fp = life_fps[group_of_cpu(task.home_cpu())];
+        fp.Mix(static_cast<std::uint64_t>(event));
+        fp.Mix(static_cast<std::uint64_t>(task.tid()));
+        fp.Mix(static_cast<std::uint64_t>(now));
+      });
+  for (auto& [at, task] : arrivals) {
+    engine.AddTaskAt(at, std::move(task));
   }
+  const auto wall_start = std::chrono::steady_clock::now();
+  engine.RunUntil(horizon);
+  result.wall_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - wall_start)
+          .count());
+  result.events = engine.events_processed();
+  result.decisions = engine.dispatches();
+  result.preemptions = engine.preemptions();
+  result.mailed_wakeups = engine.mailed_wakeups();
+  result.epochs = engine.epochs();
 
   for (int g = 0; g < groups; ++g) {
     result.group_schedule_fingerprints[static_cast<std::size_t>(g)] =

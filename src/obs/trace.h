@@ -84,8 +84,9 @@ class Trace {
   }
 
   // Appends a lifecycle record on simulation worker `worker`'s private ring
-  // (sim::ParallelEngine: each worker emits lifecycle events for the shards it
-  // owns, so the shared lifecycle ring's single-writer contract cannot hold).
+  // (sim::Engine at workers > 1: each worker emits lifecycle events for the
+  // shards it owns, so the shared lifecycle ring's single-writer contract
+  // cannot hold).
   // Records carry the lifecycle pseudo-track cpu so exporters render them on
   // the same track; the ring index is what identifies the worker.  Requires a
   // prior EnsureWorkerLifecycleRings(>= worker + 1).

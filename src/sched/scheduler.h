@@ -45,8 +45,8 @@
 //         by that shard's mutex or atomic (the runnable count).  Structural
 //         mutations (Add/Remove/Detach/Attach) still take the full lifecycle
 //         lock; that exclusivity is what makes entity-table reads safe for
-//         holders of any single dispatch mutex.  sim::ParallelEngine's
-//         wakeup/block hot path is built on this relaxation.  It
+//         holders of any single dispatch mutex.  The multi-worker
+//         sim::Engine's wakeup/block hot path is built on this relaxation.  It
 //         acquires every distinct dispatch mutex, so it is exclusive against
 //         every concurrent LockDispatch *and* other lifecycle calls, and a
 //         lifecycle holder may additionally perform dispatch-path operations
@@ -240,9 +240,9 @@ class Scheduler {
   int runnable_count() const { return runnable_count_.load(std::memory_order_relaxed); }
   int thread_count() const { return static_cast<int>(live_.size()); }
 
-  // Conservative-epoch synchronization hook (sim::ParallelEngine): invoked
-  // once per epoch boundary, single-threaded, with every worker parked at the
-  // barrier, at simulated time `now`.  Policies may snapshot or republish
+  // Conservative-epoch synchronization hook (sim::Engine at workers > 1):
+  // invoked once per epoch boundary, single-threaded, with every worker parked
+  // at the barrier, at simulated time `now`.  Policies may snapshot or republish
   // cross-shard state here (sched::Sharded exposes per-shard virtual times);
   // the default does nothing.  Must not change any scheduling decision —
   // single-threaded drivers never call it.

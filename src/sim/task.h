@@ -89,7 +89,6 @@ class Task {
 
  private:
   friend class Engine;
-  friend class ParallelEngine;
 
   // Hot fields first: the engine's per-event path (StopRunning / Dispatch /
   // the Handle* switch) touches these and nothing below behavior_, so they

@@ -1,28 +1,29 @@
-// Differential fuzz of sim::ParallelEngine against sim::Engine for every
-// scheduler kind, including the sharded layer.  Each seed builds one
-// randomized workload (hogs, interactive sleepers, a churning short-job
-// chain, mid-run weight surgery and a kill); runs are compared by FNV-1a
-// fingerprints of the complete run-interval trace and the scheduler-visible
-// lifecycle event stream, plus per-task services and the accounting counters.
-// Any divergence in any event's firing order changes the fingerprints.
+// Fuzz of sim::Engine for every scheduler kind, including the sharded
+// layer, in its two worker regimes.
 //
-// Two dimensions:
-//   * workers == 1 must be byte-identical to sim::Engine on the identical
-//     randomized workload (same seed stream), for every policy kind — the
-//     serial-oracle contract of parallel_engine.h.
+//   * workers == 1: each of seeds 1-6 builds one randomized workload (hogs,
+//     interactive sleepers, a churning short-job chain through the exit hook,
+//     mid-run weight surgery via periodic hooks, a kill).  The run-interval and
+//     lifecycle FNV-1a fingerprints, a fingerprint of the per-task services and
+//     the accounting counters must equal the goldens below, which were
+//     recorded from the engine's former single-threaded implementation (and
+//     matched its former multi-worker implementation at workers == 1 byte for
+//     byte).  Any divergence in any event's firing order changes them.
 //   * workers > 1 runs a hook-free variant (periodic hooks and exit-hook
-//     churn are serial-path-only) in segments with quiescent surgery between
+//     churn are single-worker only) in segments with quiescent surgery between
 //     them (SetWeight, KillTask) and asserts the conservation invariants:
 //     arrivals == departures + live, every dispatch charged except tasks
 //     still on-CPU at the horizon.
 //
 // The suite keeps its EventQueueFuzzTest name so test ids stay stable.
 //
-// SFS_FUZZ_SEEDS bounds the seeds tried per policy (default 6), as in
-// fuzz_test.cc; SFS_FUZZ_SHARDED pins the sharded dimension.
+// The golden test always runs seeds 1-6 and reads no environment.
+// SFS_FUZZ_SEEDS bounds the seeds the workers > 1 test tries per policy
+// (default 6), as in fuzz_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "src/common/rng.h"
 #include "src/sched/factory.h"
 #include "src/sim/engine.h"
-#include "src/sim/parallel_engine.h"
 #include "src/workload/workloads.h"
 
 namespace sfs::eval {
@@ -43,33 +43,28 @@ using sched::ThreadId;
 struct TraceResult {
   std::uint64_t run_fingerprint = 0;
   std::uint64_t lifecycle_fingerprint = 0;
-  std::vector<Tick> services;
+  std::uint64_t service_fingerprint = 0;  // FNV-1a over per-task services
   std::int64_t events = 0;
   std::int64_t dispatches = 0;
   std::int64_t preemptions = 0;
   Tick idle = 0;
   Tick ctx_cost = 0;
-
-  bool operator==(const TraceResult&) const = default;
 };
 
-// Scheduler construction shared by every dimension: all randomness flows
-// through `rng` in a fixed draw order, so any two runners fed the same seed
-// build identical schedulers (and identical workloads afterwards).
-std::unique_ptr<sched::Scheduler> DrawScheduler(SchedKind kind, common::Rng& rng,
-                                                int* num_cpus_out) {
+// One randomized workload, driven to the horizon on a single-worker engine.
+// All randomness (scheduler draw, workload shape and mid-run surgery draws)
+// flows through Rng(seed) in a fixed draw order, so the result is a pure
+// function of (kind, seed).
+TraceResult RunOnce(SchedKind kind, std::uint64_t seed) {
+  common::Rng rng(seed);
   sched::SchedConfig config;
   config.num_cpus = static_cast<int>(rng.UniformInt(1, 4));
   config.quantum = Msec(rng.UniformInt(5, 200));
-  // Former run-queue backend draw, kept so each seed still yields the same workload.
+  // Former run-queue backend draw; the goldens depend on the draw order.
   static_cast<void>(rng.Bernoulli(0.5));
   SchedKind effective_kind = kind;
   if (const auto sharded_kind = sched::ShardedKindFor(kind); sharded_kind.has_value()) {
-    bool use_sharded = rng.Bernoulli(0.5);
-    if (const char* env = std::getenv("SFS_FUZZ_SHARDED"); env != nullptr) {
-      use_sharded = env[0] == '1';
-    }
-    if (use_sharded) {
+    if (rng.Bernoulli(0.5)) {
       effective_kind = *sharded_kind;
       config.shard_steal = rng.Bernoulli(0.75) ? sched::ShardStealPolicy::kMaxSurplus
                                                : sched::ShardStealPolicy::kNone;
@@ -78,87 +73,7 @@ std::unique_ptr<sched::Scheduler> DrawScheduler(SchedKind kind, common::Rng& rng
       config.shard_coupling = 0.5 * static_cast<double>(rng.UniformInt(0, 2));
     }
   }
-  *num_cpus_out = config.num_cpus;
-  return CreateScheduler(effective_kind, config);
-}
-
-// The randomized serial workload: hogs, interactive sleepers, a churning
-// short-job chain through the exit hook, periodic weight surgery and a
-// one-shot kill.  Generic over sim::Engine / sim::ParallelEngine (workers=1):
-// both expose the same names, so the same draws build the same simulation.
-template <typename EngineT>
-void BuildSerialWorkload(EngineT& engine, common::Rng& rng, std::uint64_t seed,
-                         ThreadId& next_tid, std::vector<ThreadId>& hogs) {
-  const int n_hogs = static_cast<int>(rng.UniformInt(1, 6));
-  for (int i = 0; i < n_hogs; ++i) {
-    hogs.push_back(next_tid);
-    engine.AddTaskAt(Msec(rng.UniformInt(0, 2000)),
-                     workload::MakeInf(next_tid++, static_cast<double>(rng.UniformInt(1, 30)),
-                                       "hog"));
-  }
-  const int n_interact = static_cast<int>(rng.UniformInt(0, 3));
-  for (int i = 0; i < n_interact; ++i) {
-    workload::Interact::Params params;
-    params.mean_think = Msec(rng.UniformInt(20, 200));
-    params.burst = Msec(rng.UniformInt(1, 10));
-    params.seed = seed + static_cast<std::uint64_t>(i);
-    engine.AddTaskAt(Msec(rng.UniformInt(0, 1000)),
-                     workload::MakeInteract(next_tid++, 1.0, params, nullptr, "interact"));
-  }
-  // A churning chain of short jobs: exit-hook execution order feeds straight
-  // back into the event queue (same-tick arrivals), the FIFO contract's
-  // hardest case.
-  engine.SetExitHook([&next_tid, &rng](auto& e, sim::Task& task) {
-    if (task.label() == "short") {
-      e.AddTaskAt(e.now() + Msec(rng.UniformInt(0, 50)),
-                  workload::MakeFixedWork(next_tid++, static_cast<double>(rng.UniformInt(1, 10)),
-                                          Msec(rng.UniformInt(10, 400)), "short"));
-    }
-  });
-  engine.AddTaskAt(0, workload::MakeFixedWork(next_tid++, 2.0, Msec(100), "short"));
-
-  engine.AddPeriodicHook(Msec(777), [&](auto& e) {
-    if (!hogs.empty() && e.HasTask(hogs[0])) {
-      const auto state = e.task(hogs[0]).state();
-      if (state != sim::Task::State::kExited && state != sim::Task::State::kNew &&
-          rng.Bernoulli(0.5)) {
-        e.scheduler().SetWeight(hogs[0], static_cast<double>(rng.UniformInt(1, 50)));
-      }
-    }
-  });
-  const Tick kill_at = Msec(rng.UniformInt(2500, 5000));
-  engine.AddPeriodicHook(kill_at, [&, done = false](auto& e) mutable {
-    if (!done && hogs.size() > 1 && e.HasTask(hogs[1]) &&
-        e.task(hogs[1]).state() != sim::Task::State::kExited) {
-      e.KillTask(hogs[1]);
-      done = true;
-    }
-  });
-}
-
-template <typename EngineT>
-TraceResult Collect(EngineT& engine, const common::Fnv1a& run_fp, const common::Fnv1a& life_fp) {
-  TraceResult result;
-  engine.ForEachTask(
-      [&](const sim::Task& task) { result.services.push_back(engine.Service(task.tid())); });
-  result.run_fingerprint = run_fp.value();
-  result.lifecycle_fingerprint = life_fp.value();
-  result.events = engine.events_processed();
-  result.dispatches = engine.dispatches();
-  result.preemptions = engine.preemptions();
-  result.idle = engine.idle_time();
-  result.ctx_cost = engine.total_context_switch_cost();
-  return result;
-}
-
-// One randomized workload, driven to the horizon on sim::Engine.  All
-// randomness (workload shape and mid-run surgery draws) flows through
-// Rng(seed), so two engines given the same seed diverge only if they disagree
-// on event order.
-TraceResult RunOnce(SchedKind kind, std::uint64_t seed) {
-  common::Rng rng(seed);
-  int num_cpus = 0;
-  auto scheduler = DrawScheduler(kind, rng, &num_cpus);
+  auto scheduler = CreateScheduler(effective_kind, config);
 
   sim::EngineConfig engine_config;
   engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
@@ -182,45 +97,198 @@ TraceResult RunOnce(SchedKind kind, std::uint64_t seed) {
 
   ThreadId next_tid = 1;
   std::vector<ThreadId> hogs;
-  BuildSerialWorkload(engine, rng, seed, next_tid, hogs);
+  const int n_hogs = static_cast<int>(rng.UniformInt(1, 6));
+  for (int i = 0; i < n_hogs; ++i) {
+    hogs.push_back(next_tid);
+    engine.AddTaskAt(Msec(rng.UniformInt(0, 2000)),
+                     workload::MakeInf(next_tid++, static_cast<double>(rng.UniformInt(1, 30)),
+                                       "hog"));
+  }
+  const int n_interact = static_cast<int>(rng.UniformInt(0, 3));
+  for (int i = 0; i < n_interact; ++i) {
+    workload::Interact::Params params;
+    params.mean_think = Msec(rng.UniformInt(20, 200));
+    params.burst = Msec(rng.UniformInt(1, 10));
+    params.seed = seed + static_cast<std::uint64_t>(i);
+    engine.AddTaskAt(Msec(rng.UniformInt(0, 1000)),
+                     workload::MakeInteract(next_tid++, 1.0, params, nullptr, "interact"));
+  }
+  // A churning chain of short jobs: exit-hook execution order feeds straight
+  // back into the event queue (same-tick arrivals), the FIFO contract's
+  // hardest case.
+  engine.SetExitHook([&next_tid, &rng](sim::Engine& e, sim::Task& task) {
+    if (task.label() == "short") {
+      e.AddTaskAt(e.now() + Msec(rng.UniformInt(0, 50)),
+                  workload::MakeFixedWork(next_tid++, static_cast<double>(rng.UniformInt(1, 10)),
+                                          Msec(rng.UniformInt(10, 400)), "short"));
+    }
+  });
+  engine.AddTaskAt(0, workload::MakeFixedWork(next_tid++, 2.0, Msec(100), "short"));
+
+  engine.AddPeriodicHook(Msec(777), [&](sim::Engine& e) {
+    if (!hogs.empty() && e.HasTask(hogs[0])) {
+      const auto state = e.task(hogs[0]).state();
+      if (state != sim::Task::State::kExited && state != sim::Task::State::kNew &&
+          rng.Bernoulli(0.5)) {
+        e.scheduler().SetWeight(hogs[0], static_cast<double>(rng.UniformInt(1, 50)));
+      }
+    }
+  });
+  const Tick kill_at = Msec(rng.UniformInt(2500, 5000));
+  engine.AddPeriodicHook(kill_at, [&, done = false](sim::Engine& e) mutable {
+    if (!done && hogs.size() > 1 && e.HasTask(hogs[1]) &&
+        e.task(hogs[1]).state() != sim::Task::State::kExited) {
+      e.KillTask(hogs[1]);
+      done = true;
+    }
+  });
+
   engine.RunUntil(Sec(10));
-  return Collect(engine, run_fp, life_fp);
+  EXPECT_EQ(engine.mailed_wakeups(), 0);
+  EXPECT_EQ(engine.epochs(), 0);
+
+  TraceResult result;
+  common::Fnv1a service_fp;
+  engine.ForEachTask([&](const sim::Task& task) {
+    service_fp.Mix(static_cast<std::uint64_t>(engine.Service(task.tid())));
+  });
+  result.run_fingerprint = run_fp.value();
+  result.lifecycle_fingerprint = life_fp.value();
+  result.service_fingerprint = service_fp.value();
+  result.events = engine.events_processed();
+  result.dispatches = engine.dispatches();
+  result.preemptions = engine.preemptions();
+  result.idle = engine.idle_time();
+  result.ctx_cost = engine.total_context_switch_cost();
+  return result;
 }
 
-// The identical seed stream through sim::ParallelEngine at workers == 1 (the
-// serial-oracle path: periodic hooks and exit-hook churn are legal there).
-TraceResult RunOnceParallelSerial(SchedKind kind, std::uint64_t seed) {
-  common::Rng rng(seed);
-  int num_cpus = 0;
-  auto scheduler = DrawScheduler(kind, rng, &num_cpus);
-
-  sim::ParallelEngineConfig engine_config;
-  engine_config.workers = 1;
-  engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
-  sim::ParallelEngine engine(*scheduler, engine_config);
-
-  common::Fnv1a run_fp;
-  common::Fnv1a life_fp;
-  engine.SetRunIntervalHook(
-      [&run_fp](int /*worker*/, Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        run_fp.Mix(static_cast<std::uint64_t>(start));
-        run_fp.Mix(static_cast<std::uint64_t>(len));
-        run_fp.Mix(static_cast<std::uint64_t>(cpu));
-        run_fp.Mix(static_cast<std::uint64_t>(tid));
-      });
-  engine.SetSchedEventHook(
-      [&life_fp](int /*worker*/, sim::SchedEvent event, const sim::Task& task, Tick now) {
-        life_fp.Mix(static_cast<std::uint64_t>(event));
-        life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-        life_fp.Mix(static_cast<std::uint64_t>(now));
-      });
-
-  ThreadId next_tid = 1;
-  std::vector<ThreadId> hogs;
-  BuildSerialWorkload(engine, rng, seed, next_tid, hogs);
-  engine.RunUntil(Sec(10));
-  return Collect(engine, run_fp, life_fp);
-}
+// RunOnce(kind, seed) for seeds 1-6, recorded from the single-threaded engine
+// before the two engine implementations were merged.  Regenerate only if a
+// deliberate schedule-affecting change lands — never to paper over an
+// accidental one.
+struct Golden {
+  SchedKind kind;
+  std::uint64_t seed;
+  std::uint64_t run_fingerprint;
+  std::uint64_t lifecycle_fingerprint;
+  std::uint64_t service_fingerprint;
+  std::int64_t events;
+  std::int64_t dispatches;
+  std::int64_t preemptions;
+  Tick idle;
+  Tick ctx_cost;
+};
+constexpr Golden kGoldens[] = {
+    {SchedKind::kSfs, 1, 0x459d8a0cdb6aec1dULL, 0xde697eef39eb32cfULL, 0x1fa6b25b9a640fb7ULL,
+     416, 350, 42, 347000, 55123},
+    {SchedKind::kSfs, 2, 0xf44cec169c4f2074ULL, 0xc415a427e93f43a8ULL, 0x7e76af8982005b21ULL,
+     1023, 690, 0, 19887466, 32364},
+    {SchedKind::kSfs, 3, 0xb9cbf2a25768d830ULL, 0x26db4a41fca19b9aULL, 0x9757cba16e08eac9ULL,
+     86, 64, 7, 26000, 11264},
+    {SchedKind::kSfs, 4, 0x0054df1ea504759eULL, 0x55df4d20f52c710fULL, 0x7d88093d6f1b8acaULL,
+     1667, 1015, 220, 7842819, 128173},
+    {SchedKind::kSfs, 5, 0xbeb0994225cbd9d2ULL, 0x220523e971b97953ULL, 0x143dedbdb3bdf102ULL,
+     724, 466, 188, 1927134, 62477},
+    {SchedKind::kSfs, 6, 0x947f89a8b53c6ac9ULL, 0x7a775f0a65365d46ULL, 0x33e0d46e2102e049ULL,
+     1751, 1480, 193, 1196582, 157191},
+    {SchedKind::kHsfs, 1, 0x5a2009a9f9770094ULL, 0xea51daadf4ddfa30ULL, 0x365047b50afe856fULL,
+     707, 481, 0, 142905, 169360},
+    {SchedKind::kHsfs, 2, 0x2acf2c74d2211eb8ULL, 0xc48680d51741ec15ULL, 0xb19a479de8b8b809ULL,
+     576, 452, 0, 22532237, 16271},
+    {SchedKind::kHsfs, 3, 0xe6f57be466252ecfULL, 0xe7aab125a03dbda3ULL, 0xf3c90e791b09e143ULL,
+     124, 80, 0, 0, 4636},
+    {SchedKind::kHsfs, 4, 0xe88dda0d2ca55646ULL, 0x1010f44094f3022fULL, 0x6bdcc763ab2cdc63ULL,
+     536, 413, 0, 2646000, 0},
+    {SchedKind::kHsfs, 5, 0xeb0aee71927937bcULL, 0x51cc8ee15f2a92a5ULL, 0x93179511a597bf0cULL,
+     435, 249, 0, 1582480, 31458},
+    {SchedKind::kHsfs, 6, 0x15d7c8dda2ce63abULL, 0x1c8d1ce0b3b3ee9eULL, 0xb61c13bf4f34cec9ULL,
+     1206, 1179, 0, 1034000, 182040},
+    {SchedKind::kSfq, 1, 0xea4635f40c431408ULL, 0xfed8e417e8e09c8bULL, 0x628f2c1348f69eacULL,
+     410, 344, 27, 347000, 57339},
+    {SchedKind::kSfq, 2, 0xf44cec169c4f2074ULL, 0xc415a427e93f43a8ULL, 0x7e76af8982005b21ULL,
+     1023, 690, 0, 19887466, 32364},
+    {SchedKind::kSfq, 3, 0xb9cbf2a25768d830ULL, 0x26db4a41fca19b9aULL, 0x9757cba16e08eac9ULL,
+     86, 64, 7, 26000, 11264},
+    {SchedKind::kSfq, 4, 0x12ba8b143454ce8cULL, 0x91482a6c4b619128ULL, 0xa2f2d4d4fbf7f145ULL,
+     1643, 997, 196, 7554143, 120383},
+    {SchedKind::kSfq, 5, 0x9a7b60a42a4bfd18ULL, 0xaba9f0f54c1fa4f5ULL, 0xbcb7e43918e2edbdULL,
+     704, 451, 174, 1846321, 59771},
+    {SchedKind::kSfq, 6, 0xc40b2d72b20e84a5ULL, 0xbc2f37061339cdd5ULL, 0x11a81a88d2763e17ULL,
+     1744, 1472, 183, 1180277, 156844},
+    {SchedKind::kStride, 1, 0xea4635f40c431408ULL, 0xfed8e417e8e09c8bULL, 0x628f2c1348f69eacULL,
+     410, 344, 27, 347000, 57339},
+    {SchedKind::kStride, 2, 0xf44cec169c4f2074ULL, 0xc415a427e93f43a8ULL, 0x7e76af8982005b21ULL,
+     1023, 690, 0, 19887466, 32364},
+    {SchedKind::kStride, 3, 0xb9cbf2a25768d830ULL, 0x26db4a41fca19b9aULL, 0x9757cba16e08eac9ULL,
+     86, 64, 7, 26000, 11264},
+    {SchedKind::kStride, 4, 0x12ba8b143454ce8cULL, 0x91482a6c4b619128ULL, 0xa2f2d4d4fbf7f145ULL,
+     1643, 997, 196, 7554143, 120383},
+    {SchedKind::kStride, 5, 0x9a7b60a42a4bfd18ULL, 0xaba9f0f54c1fa4f5ULL, 0xbcb7e43918e2edbdULL,
+     704, 451, 174, 1846321, 59771},
+    {SchedKind::kStride, 6, 0xc40b2d72b20e84a5ULL, 0xbc2f37061339cdd5ULL, 0x11a81a88d2763e17ULL,
+     1744, 1472, 183, 1180277, 156844},
+    {SchedKind::kWfq, 1, 0x9ab149dfe103c7cdULL, 0xbf71a08792a9aa0bULL, 0xd0c532900a093340ULL,
+     347, 310, 12, 347000, 38226},
+    {SchedKind::kWfq, 2, 0xf44cec169c4f2074ULL, 0xc415a427e93f43a8ULL, 0x7e76af8982005b21ULL,
+     1023, 690, 0, 19887466, 32364},
+    {SchedKind::kWfq, 3, 0x0caa8a1755df4651ULL, 0x54d9102ac5821c12ULL, 0x7c9f8a8097ad7799ULL,
+     86, 62, 3, 26000, 10208},
+    {SchedKind::kWfq, 4, 0xe33feb698f12aa59ULL, 0xba7ab9d75e9c254eULL, 0x8abb037688b397d3ULL,
+     1572, 955, 182, 7474419, 108261},
+    {SchedKind::kWfq, 5, 0xd2bd7787c9f8ffd5ULL, 0xe5069bf1c9e2ba36ULL, 0x8b564db64b9a0647ULL,
+     363, 232, 42, 1516283, 19240},
+    {SchedKind::kWfq, 6, 0x064d3d089a594123ULL, 0x361dc690c535eb41ULL, 0xe73e02e68cf8bc55ULL,
+     1580, 1370, 91, 1280029, 96119},
+    {SchedKind::kBvt, 1, 0xea4635f40c431408ULL, 0xfed8e417e8e09c8bULL, 0x628f2c1348f69eacULL,
+     410, 344, 27, 347000, 57339},
+    {SchedKind::kBvt, 2, 0xf44cec169c4f2074ULL, 0xc415a427e93f43a8ULL, 0x7e76af8982005b21ULL,
+     1023, 690, 0, 19887466, 32364},
+    {SchedKind::kBvt, 3, 0xb9cbf2a25768d830ULL, 0x26db4a41fca19b9aULL, 0x9757cba16e08eac9ULL,
+     86, 64, 7, 26000, 11264},
+    {SchedKind::kBvt, 4, 0x12ba8b143454ce8cULL, 0x91482a6c4b619128ULL, 0xa2f2d4d4fbf7f145ULL,
+     1643, 997, 196, 7554143, 120383},
+    {SchedKind::kBvt, 5, 0x9a7b60a42a4bfd18ULL, 0xaba9f0f54c1fa4f5ULL, 0xbcb7e43918e2edbdULL,
+     704, 451, 174, 1846321, 59771},
+    {SchedKind::kBvt, 6, 0xc40b2d72b20e84a5ULL, 0xbc2f37061339cdd5ULL, 0x11a81a88d2763e17ULL,
+     1744, 1472, 183, 1180277, 156844},
+    {SchedKind::kTimeshare, 1, 0xca386a1064bacb97ULL, 0x0d27f79ffc00d613ULL, 0x59a5764742ed1e7dULL,
+     1473, 1008, 427, 151635, 359065},
+    {SchedKind::kTimeshare, 2, 0xd609b3425f4b61daULL, 0xc48680d51741ec15ULL, 0xb19a479de8b8b809ULL,
+     577, 453, 0, 22532237, 16271},
+    {SchedKind::kTimeshare, 3, 0x87a4953360b4299dULL, 0x1558fe0c82b042f4ULL, 0x39000cbee0eeaf05ULL,
+     461, 308, 131, 0, 18727},
+    {SchedKind::kTimeshare, 4, 0x2a6995702e30f2a2ULL, 0x88c1f2252dd2b79fULL, 0xa59fb8bb50c8c457ULL,
+     660, 535, 61, 2576000, 0},
+    {SchedKind::kTimeshare, 5, 0x41c193124e903720ULL, 0x06ef5762612674ecULL, 0xb1c70e3343fb819eULL,
+     733, 486, 181, 1257944, 60037},
+    {SchedKind::kTimeshare, 6, 0xd69020de5634efb2ULL, 0xe842186d80e8b5aaULL, 0x93da9a8601b7e7f1ULL,
+     1237, 1197, 20, 1034000, 189810},
+    {SchedKind::kRoundRobin, 1, 0x05d99b4e5b49b1c1ULL, 0xfd144bc7f4fd83f1ULL, 0x4970ca8d9045e3fdULL,
+     583, 418, 0, 149907, 151110},
+    {SchedKind::kRoundRobin, 2, 0x2acf2c74d2211eb8ULL, 0xc48680d51741ec15ULL, 0xb19a479de8b8b809ULL,
+     576, 452, 0, 22532237, 16271},
+    {SchedKind::kRoundRobin, 3, 0x507de36fbc7ec40fULL, 0xf13ee00a0e16a46eULL, 0x3401f4dd989cf2b3ULL,
+     135, 84, 0, 0, 5124},
+    {SchedKind::kRoundRobin, 4, 0x610967f2a24b9bbfULL, 0x7888e89d395bab02ULL, 0x7d223eaa0e2ef4f3ULL,
+     537, 414, 0, 2617889, 0},
+    {SchedKind::kRoundRobin, 5, 0x617d3d452e781e39ULL, 0xc0a5a5bb2f8c3db9ULL, 0x28e87d17e0eb8c2eULL,
+     424, 246, 0, 1375098, 31899},
+    {SchedKind::kRoundRobin, 6, 0x229ae60480c36a0dULL, 0x6e6821108530bc38ULL, 0x6aa87c1c1cb46a3bULL,
+     1215, 1181, 0, 1034000, 205165},
+    {SchedKind::kLottery, 1, 0xcbc9b7bcd1680fa9ULL, 0x0742f8292ba8e781ULL, 0x3cc8ad54b6cc4438ULL,
+     352, 309, 0, 142905, 86505},
+    {SchedKind::kLottery, 2, 0x2acf2c74d2211eb8ULL, 0xc48680d51741ec15ULL, 0xb19a479de8b8b809ULL,
+     576, 452, 0, 22532237, 16271},
+    {SchedKind::kLottery, 3, 0xd6d02d5e60efc7e8ULL, 0xf8341293d1fc4f14ULL, 0xe7bc26d60745089bULL,
+     85, 61, 0, 0, 1769},
+    {SchedKind::kLottery, 4, 0xa9913eacd1923ad8ULL, 0xa31254fd9c4e0f2dULL, 0x6cf263dbcdcb953bULL,
+     482, 389, 0, 2402000, 0},
+    {SchedKind::kLottery, 5, 0x3b380ba674b1e123ULL, 0x5add4b1a36b603dcULL, 0x8f8a349b663a2628ULL,
+     341, 204, 0, 1351131, 17787},
+    {SchedKind::kLottery, 6, 0x24aab6883f41c510ULL, 0x1fb5e8c7c843013eULL, 0x0b42c8236e64f44fULL,
+     1209, 1181, 0, 1034000, 155215},
+};
 
 std::uint64_t FuzzSeedCount() {
   if (const char* env = std::getenv("SFS_FUZZ_SEEDS")) {
@@ -234,14 +302,26 @@ std::uint64_t FuzzSeedCount() {
 
 class EventQueueFuzzTest : public ::testing::TestWithParam<SchedKind> {};
 
+// workers == 1 reproduces the recorded single-threaded schedules byte for
+// byte, on every seed.
 TEST_P(EventQueueFuzzTest, ParallelEngineWorkersOneIsByteIdentical) {
-  for (std::uint64_t seed = 1; seed <= FuzzSeedCount(); ++seed) {
-    const TraceResult serial = RunOnce(GetParam(), seed);
-    const TraceResult parallel = RunOnceParallelSerial(GetParam(), seed);
-    EXPECT_EQ(serial.run_fingerprint, parallel.run_fingerprint) << "seed " << seed;
-    EXPECT_EQ(serial.lifecycle_fingerprint, parallel.lifecycle_fingerprint) << "seed " << seed;
-    EXPECT_TRUE(serial == parallel) << "seed " << seed;
+  int checked = 0;
+  for (const Golden& golden : kGoldens) {
+    if (golden.kind != GetParam()) {
+      continue;
+    }
+    ++checked;
+    const TraceResult run = RunOnce(golden.kind, golden.seed);
+    EXPECT_EQ(run.run_fingerprint, golden.run_fingerprint) << "seed " << golden.seed;
+    EXPECT_EQ(run.lifecycle_fingerprint, golden.lifecycle_fingerprint) << "seed " << golden.seed;
+    EXPECT_EQ(run.service_fingerprint, golden.service_fingerprint) << "seed " << golden.seed;
+    EXPECT_EQ(run.events, golden.events) << "seed " << golden.seed;
+    EXPECT_EQ(run.dispatches, golden.dispatches) << "seed " << golden.seed;
+    EXPECT_EQ(run.preemptions, golden.preemptions) << "seed " << golden.seed;
+    EXPECT_EQ(run.idle, golden.idle) << "seed " << golden.seed;
+    EXPECT_EQ(run.ctx_cost, golden.ctx_cost) << "seed " << golden.seed;
   }
+  EXPECT_EQ(checked, 6);
 }
 
 // workers > 1: a hook-free randomized workload, run in segments with
@@ -262,27 +342,27 @@ TEST_P(EventQueueFuzzTest, ParallelEngineManyWorkersConserves) {
     }
     auto scheduler = CreateScheduler(effective_kind, config);
 
-    sim::ParallelEngineConfig engine_config;
+    sim::EngineConfig engine_config;
     engine_config.workers = static_cast<int>(rng.UniformInt(2, config.num_cpus));
     engine_config.epoch = Msec(rng.UniformInt(2, 20));
     engine_config.context_switch_cost = Usec(rng.UniformInt(0, 500));
-    sim::ParallelEngine engine(*scheduler, engine_config);
+    sim::Engine engine(*scheduler, engine_config);
 
-    std::vector<std::int64_t> arrivals(static_cast<std::size_t>(engine_config.workers));
-    std::vector<std::int64_t> departures(static_cast<std::size_t>(engine_config.workers));
-    std::vector<std::int64_t> run_intervals(static_cast<std::size_t>(engine_config.workers));
+    // The hooks run concurrently on the workers.
+    std::atomic<std::int64_t> arrived{0};
+    std::atomic<std::int64_t> departed{0};
+    std::atomic<std::int64_t> charged{0};
     engine.SetSchedEventHook(
-        [&arrivals, &departures](int worker, sim::SchedEvent event, const sim::Task&, Tick) {
+        [&arrived, &departed](sim::SchedEvent event, const sim::Task&, Tick) {
           if (event == sim::SchedEvent::kArrival) {
-            ++arrivals[static_cast<std::size_t>(worker)];
+            arrived.fetch_add(1, std::memory_order_relaxed);
           } else if (event == sim::SchedEvent::kDeparture) {
-            ++departures[static_cast<std::size_t>(worker)];
+            departed.fetch_add(1, std::memory_order_relaxed);
           }
         });
-    engine.SetRunIntervalHook(
-        [&run_intervals](int worker, Tick, Tick, sched::CpuId, ThreadId) {
-          ++run_intervals[static_cast<std::size_t>(worker)];
-        });
+    engine.SetRunIntervalHook([&charged](Tick, Tick, sched::CpuId, ThreadId) {
+      charged.fetch_add(1, std::memory_order_relaxed);
+    });
 
     ThreadId next_tid = 1;
     std::vector<ThreadId> hogs;
@@ -320,27 +400,19 @@ TEST_P(EventQueueFuzzTest, ParallelEngineManyWorkersConserves) {
     }
     engine.RunUntil(Sec(6));
 
-    std::int64_t arrived = 0;
-    std::int64_t departed = 0;
-    std::int64_t charged = 0;
-    for (int w = 0; w < engine_config.workers; ++w) {
-      arrived += arrivals[static_cast<std::size_t>(w)];
-      departed += departures[static_cast<std::size_t>(w)];
-      charged += run_intervals[static_cast<std::size_t>(w)];
-    }
     std::int64_t live = 0;
     engine.ForEachTask([&live](const sim::Task& task) {
       if (task.state() != sim::Task::State::kNew && task.state() != sim::Task::State::kExited) {
         ++live;
       }
     });
-    EXPECT_EQ(arrived, total_tasks) << "seed " << seed;
-    EXPECT_EQ(arrived, departed + live) << "seed " << seed;
+    EXPECT_EQ(arrived.load(), total_tasks) << "seed " << seed;
+    EXPECT_EQ(arrived.load(), departed.load() + live) << "seed " << seed;
     // Every reported run interval stems from a dispatch; the counts differ by
     // tasks still on-CPU at the horizon plus zero-length grants (dispatched
     // and preempted at the same tick), which the hook elides by contract.
-    EXPECT_GT(charged, 0) << "seed " << seed;
-    EXPECT_GE(engine.dispatches(), charged) << "seed " << seed;
+    EXPECT_GT(charged.load(), 0) << "seed " << seed;
+    EXPECT_GE(engine.dispatches(), charged.load()) << "seed " << seed;
   }
 }
 

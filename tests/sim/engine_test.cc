@@ -311,23 +311,18 @@ TEST(EngineTest, BackToBackRedispatchIsFree) {
   EXPECT_EQ(engine.ServiceIncludingRunning(1), Sec(1) - Msec(1) - Usec(640));
 }
 
-TEST(EngineTest, ArrivalPreemptionKnob) {
-  auto preemptions = [](bool preempt_on_arrival) {
-    EngineConfig config;
-    config.preempt_on_arrival = preempt_on_arrival;
-    sched::Sfs scheduler(Config(1, Msec(200)));
-    Engine engine(scheduler, config);
-    engine.AddTaskAt(0, workload::MakeInf(1, 1.0, "hog"));
-    // A stream of arrivals mid-quantum.
-    for (sched::ThreadId tid = 2; tid <= 11; ++tid) {
-      engine.AddTaskAt(Msec(100) * (tid - 1) + Msec(50),
-                       workload::MakeFixedWork(tid, 1.0, Msec(20), "short"));
-    }
-    engine.RunUntil(Sec(3));
-    return engine.preemptions();
-  };
-  EXPECT_EQ(preemptions(false), 0);
-  EXPECT_GT(preemptions(true), 0);
+// Arrivals consult reschedule_idle() like wakeups do: a stream of arrivals
+// mid-quantum preempts the running hog.
+TEST(EngineTest, ArrivalsPreemptMidQuantum) {
+  sched::Sfs scheduler(Config(1, Msec(200)));
+  Engine engine(scheduler);
+  engine.AddTaskAt(0, workload::MakeInf(1, 1.0, "hog"));
+  for (sched::ThreadId tid = 2; tid <= 11; ++tid) {
+    engine.AddTaskAt(Msec(100) * (tid - 1) + Msec(50),
+                     workload::MakeFixedWork(tid, 1.0, Msec(20), "short"));
+  }
+  engine.RunUntil(Sec(3));
+  EXPECT_GT(engine.preemptions(), 0);
 }
 
 TEST(EngineTest, MigrationsCountedAcrossCpus) {

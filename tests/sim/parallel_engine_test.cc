@@ -1,26 +1,27 @@
-// Unit tests for the parallel sharded simulation engine.
+// Unit tests for sim::Engine's worker regimes.
 //
-// Three contracts under test (parallel_engine.h):
-//   * workers == 1 reproduces sim::Engine byte-identically — run-interval
-//     stream, lifecycle stream, per-task services, every counter — for flat
-//     and sharded policies alike.
-//   * workers > 1 over a *partitioned* sharded policy reproduces the serial
-//     oracle's per-CPU / per-home streams byte-identically at any worker
-//     count, and is deterministic across reruns.
+// Three contracts under test (engine.h):
+//   * workers == 1 reproduces the schedules recorded from the engine's former
+//     single-threaded implementation byte-identically — run-interval stream,
+//     lifecycle stream, per-task services, every counter — for flat and
+//     sharded policies alike (goldens below).
+//   * workers > 1 over a *partitioned* sharded policy reproduces the
+//     single worker's per-CPU / per-home streams byte-identically at any
+//     worker count, and is deterministic across reruns.
 //   * workers > 1 in general (hintless tasks, mailboxes in play) preserves
 //     the conservation invariants: arrivals == departures + live, and every
 //     dispatch is eventually charged (tasks still on-CPU at the horizon
 //     excepted).
 //
-// The stress cases double as the TSan targets for the engine (ctest -R
+// The multi-worker cases double as the TSan targets for the engine (ctest -R
 // ParallelEngine under the sanitizer job).
-
-#include "src/sim/parallel_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,20 +37,6 @@ namespace {
 using sched::SchedKind;
 using sched::ThreadId;
 
-struct RunResult {
-  std::uint64_t run_fingerprint = 0;
-  std::uint64_t lifecycle_fingerprint = 0;
-  std::vector<Tick> services;
-  std::int64_t events = 0;
-  std::int64_t dispatches = 0;
-  std::int64_t preemptions = 0;
-  std::int64_t mailed = 0;
-  Tick idle = 0;
-  Tick ctx_cost = 0;
-
-  bool operator==(const RunResult&) const = default;
-};
-
 constexpr int kCpus = 4;
 constexpr Tick kHorizon = Sec(5);
 
@@ -62,9 +49,8 @@ sched::SchedConfig TestConfig(int cpus) {
 
 // The shared workload: hogs with mixed weights, interactive sleepers (arrive
 // asleep — the wakeup path), and a churning short-job chain through the exit
-// hook (serial paths only).  `hint` pins task tid to shard tid % cpus.
-template <typename EngineT>
-void AddWorkload(EngineT& engine, int cpus, bool hint, bool churn) {
+// hook (single worker only).  `hint` pins task tid to shard tid % cpus.
+void AddWorkload(Engine& engine, int cpus, bool hint, bool churn) {
   ThreadId next_tid = 1;
   auto add = [&engine, cpus, hint](Tick at, std::unique_ptr<Task> task) {
     if (hint) {
@@ -84,7 +70,7 @@ void AddWorkload(EngineT& engine, int cpus, bool hint, bool churn) {
   }
   add(0, workload::MakeFixedWork(next_tid++, 2.0, Msec(80), "short"));
   if (churn) {
-    engine.SetExitHook([next_tid](EngineT& e, Task& task) mutable {
+    engine.SetExitHook([next_tid](Engine& e, Task& task) mutable {
       if (task.label() == "short" && next_tid < 40) {
         e.AddTaskAt(e.now() + Msec(17),
                     workload::MakeFixedWork(next_tid++, 2.0, Msec(80), "short"));
@@ -93,7 +79,22 @@ void AddWorkload(EngineT& engine, int cpus, bool hint, bool churn) {
   }
 }
 
-RunResult RunSerial(SchedKind kind, bool hint) {
+// --- workers == 1: recorded single-threaded schedules ------------------------
+
+struct RunResult {
+  std::uint64_t run_fingerprint = 0;
+  std::uint64_t lifecycle_fingerprint = 0;
+  std::uint64_t service_fingerprint = 0;  // FNV-1a over per-task services
+  std::int64_t events = 0;
+  std::int64_t dispatches = 0;
+  std::int64_t preemptions = 0;
+  Tick idle = 0;
+  Tick ctx_cost = 0;
+  std::int64_t mailed = 0;
+  std::int64_t epochs = 0;
+};
+
+RunResult RunSingleWorker(SchedKind kind, bool hint) {
   auto scheduler = CreateScheduler(kind, TestConfig(kCpus));
   EngineConfig config;
   config.context_switch_cost = Usec(50);
@@ -114,85 +115,116 @@ RunResult RunSerial(SchedKind kind, bool hint) {
   AddWorkload(engine, kCpus, hint, /*churn=*/true);
   engine.RunUntil(kHorizon);
 
+  // Services in sorted order, as recorded.
+  std::vector<Tick> services;
+  engine.ForEachTask([&](const Task& task) { services.push_back(task.service()); });
+  std::sort(services.begin(), services.end());
+  common::Fnv1a service_fp;
+  for (const Tick service : services) {
+    service_fp.Mix(static_cast<std::uint64_t>(service));
+  }
   RunResult result;
-  engine.ForEachTask([&](const Task& task) { result.services.push_back(task.service()); });
-  std::sort(result.services.begin(), result.services.end());
   result.run_fingerprint = run_fp.value();
   result.lifecycle_fingerprint = life_fp.value();
+  result.service_fingerprint = service_fp.value();
   result.events = engine.events_processed();
   result.dispatches = engine.dispatches();
   result.preemptions = engine.preemptions();
   result.idle = engine.idle_time();
   result.ctx_cost = engine.total_context_switch_cost();
-  return result;
-}
-
-RunResult RunParallel(SchedKind kind, int workers, bool hint, bool churn,
-                      Tick epoch = Msec(10)) {
-  auto scheduler = CreateScheduler(kind, TestConfig(kCpus));
-  ParallelEngineConfig config;
-  config.workers = workers;
-  config.epoch = epoch;
-  config.context_switch_cost = Usec(50);
-  ParallelEngine engine(*scheduler, config);
-  common::Fnv1a run_fp;
-  common::Fnv1a life_fp;
-  engine.SetRunIntervalHook(
-      [&run_fp](int /*worker*/, Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        run_fp.Mix(static_cast<std::uint64_t>(start));
-        run_fp.Mix(static_cast<std::uint64_t>(len));
-        run_fp.Mix(static_cast<std::uint64_t>(cpu));
-        run_fp.Mix(static_cast<std::uint64_t>(tid));
-      });
-  engine.SetSchedEventHook(
-      [&life_fp](int /*worker*/, SchedEvent event, const Task& task, Tick now) {
-        life_fp.Mix(static_cast<std::uint64_t>(event));
-        life_fp.Mix(static_cast<std::uint64_t>(task.tid()));
-        life_fp.Mix(static_cast<std::uint64_t>(now));
-      });
-  AddWorkload(engine, kCpus, hint, churn);
-  engine.RunUntil(kHorizon);
-
-  RunResult result;
-  engine.ForEachTask([&](const Task& task) { result.services.push_back(task.service()); });
-  std::sort(result.services.begin(), result.services.end());
-  result.run_fingerprint = run_fp.value();
-  result.lifecycle_fingerprint = life_fp.value();
-  result.events = engine.events_processed();
-  result.dispatches = engine.dispatches();
-  result.preemptions = engine.preemptions();
   result.mailed = engine.mailed_wakeups();
-  result.idle = engine.idle_time();
-  result.ctx_cost = engine.total_context_switch_cost();
+  result.epochs = engine.epochs();
   return result;
 }
 
-// --- workers == 1: the serial-oracle contract --------------------------------
+// RunSingleWorker(kind, hint), recorded from the single-threaded engine
+// before the two engine implementations were merged.  Regenerate only if a
+// deliberate schedule-affecting change lands.
+struct Golden {
+  SchedKind kind;
+  bool hint;
+  std::uint64_t run_fingerprint;
+  std::uint64_t lifecycle_fingerprint;
+  std::uint64_t service_fingerprint;
+  std::int64_t events;
+  std::int64_t dispatches;
+  std::int64_t preemptions;
+  Tick idle;
+  Tick ctx_cost;
+};
+constexpr Golden kGoldens[] = {
+    {SchedKind::kSfs, false, 0xd1a062c7245032b4ULL, 0x146cf410a61512d1ULL,
+     0x1fe37513d0255e7cULL, 2019, 1491, 275, 2369493, 37212},
+    {SchedKind::kSfs, true, 0xd1a062c7245032b4ULL, 0x146cf410a61512d1ULL,
+     0x1fe37513d0255e7cULL, 2019, 1491, 275, 2369493, 37212},
+    {SchedKind::kHsfs, false, 0xcdb0dbf541ef4b23ULL, 0x370a84402d1e8b51ULL,
+     0xbb706a04d2779d39ULL, 1796, 1301, 0, 2152028, 34450},
+    {SchedKind::kHsfs, true, 0xcdb0dbf541ef4b23ULL, 0x370a84402d1e8b51ULL,
+     0xbb706a04d2779d39ULL, 1796, 1301, 0, 2152028, 34450},
+    {SchedKind::kSfq, false, 0x5fe2cba109915fb8ULL, 0x146cf410a61512d1ULL,
+     0xef278fc886330011ULL, 2025, 1497, 275, 2369493, 37177},
+    {SchedKind::kSfq, true, 0x5fe2cba109915fb8ULL, 0x146cf410a61512d1ULL,
+     0xef278fc886330011ULL, 2025, 1497, 275, 2369493, 37177},
+    {SchedKind::kStride, false, 0x5fe2cba109915fb8ULL, 0x146cf410a61512d1ULL,
+     0xef278fc886330011ULL, 2025, 1497, 275, 2369493, 37177},
+    {SchedKind::kStride, true, 0x5fe2cba109915fb8ULL, 0x146cf410a61512d1ULL,
+     0xef278fc886330011ULL, 2025, 1497, 275, 2369493, 37177},
+    {SchedKind::kWfq, false, 0x0965c9b6e43a22b4ULL, 0x9e9a65afb1c99708ULL,
+     0xaad435388f1d2602ULL, 2021, 1496, 273, 2360260, 36865},
+    {SchedKind::kWfq, true, 0x0965c9b6e43a22b4ULL, 0x9e9a65afb1c99708ULL,
+     0xaad435388f1d2602ULL, 2021, 1496, 273, 2360260, 36865},
+    {SchedKind::kBvt, false, 0x5fe2cba109915fb8ULL, 0x146cf410a61512d1ULL,
+     0xef278fc886330011ULL, 2025, 1497, 275, 2369493, 37177},
+    {SchedKind::kBvt, true, 0x5fe2cba109915fb8ULL, 0x146cf410a61512d1ULL,
+     0xef278fc886330011ULL, 2025, 1497, 275, 2369493, 37177},
+    {SchedKind::kTimeshare, false, 0x5557e8a191f7a6ecULL, 0xe23dc7ee1b3b3bc7ULL,
+     0xb06cb067bf7fa9e6ULL, 2027, 1499, 267, 2340094, 36752},
+    {SchedKind::kTimeshare, true, 0x5557e8a191f7a6ecULL, 0xe23dc7ee1b3b3bc7ULL,
+     0xb06cb067bf7fa9e6ULL, 2027, 1499, 267, 2340094, 36752},
+    {SchedKind::kRoundRobin, false, 0x84780884894963dcULL, 0xfa77874a713093d5ULL,
+     0x5d72955f4d660769ULL, 1793, 1298, 0, 2187949, 34450},
+    {SchedKind::kRoundRobin, true, 0x84780884894963dcULL, 0xfa77874a713093d5ULL,
+     0x5d72955f4d660769ULL, 1793, 1298, 0, 2187949, 34450},
+    {SchedKind::kLottery, false, 0x355ef659b85087a0ULL, 0xd0d9ae5f7839682bULL,
+     0x3b568d4dee993ec9ULL, 1751, 1278, 0, 2175334, 28000},
+    {SchedKind::kLottery, true, 0x355ef659b85087a0ULL, 0xd0d9ae5f7839682bULL,
+     0x3b568d4dee993ec9ULL, 1751, 1278, 0, 2175334, 28000},
+    {SchedKind::kShardedSfs, false, 0x1beb0b17b47af962ULL, 0x792518794b3a3623ULL,
+     0x250f58044008a6c4ULL, 2071, 1549, 297, 2109472, 37750},
+    {SchedKind::kShardedSfs, true, 0x053233c7f2928225ULL, 0x46f7915daadaea68ULL,
+     0x1273461d27e863e7ULL, 2071, 1549, 295, 2079229, 38150},
+};
+
+void ExpectMatchesGolden(SchedKind kind, bool hint) {
+  const RunResult run = RunSingleWorker(kind, hint);
+  int checked = 0;
+  for (const Golden& golden : kGoldens) {
+    if (golden.kind != kind || golden.hint != hint) {
+      continue;
+    }
+    ++checked;
+    EXPECT_EQ(run.run_fingerprint, golden.run_fingerprint);
+    EXPECT_EQ(run.lifecycle_fingerprint, golden.lifecycle_fingerprint);
+    EXPECT_EQ(run.service_fingerprint, golden.service_fingerprint);
+    EXPECT_EQ(run.events, golden.events);
+    EXPECT_EQ(run.dispatches, golden.dispatches);
+    EXPECT_EQ(run.preemptions, golden.preemptions);
+    EXPECT_EQ(run.idle, golden.idle);
+    EXPECT_EQ(run.ctx_cost, golden.ctx_cost);
+  }
+  EXPECT_EQ(checked, 1);
+  EXPECT_EQ(run.mailed, 0);
+  EXPECT_EQ(run.epochs, 0);
+}
 
 class ParallelEngineOracleTest : public ::testing::TestWithParam<SchedKind> {};
 
 TEST_P(ParallelEngineOracleTest, WorkersOneIsByteIdenticalToEngine) {
-  const RunResult serial = RunSerial(GetParam(), /*hint=*/false);
-  const RunResult parallel = RunParallel(GetParam(), /*workers=*/1, /*hint=*/false,
-                                         /*churn=*/true);
-  EXPECT_EQ(serial.run_fingerprint, parallel.run_fingerprint);
-  EXPECT_EQ(serial.lifecycle_fingerprint, parallel.lifecycle_fingerprint);
-  EXPECT_EQ(serial.services, parallel.services);
-  EXPECT_EQ(serial.events, parallel.events);
-  EXPECT_EQ(serial.dispatches, parallel.dispatches);
-  EXPECT_EQ(serial.preemptions, parallel.preemptions);
-  EXPECT_EQ(serial.idle, parallel.idle);
-  EXPECT_EQ(serial.ctx_cost, parallel.ctx_cost);
-  EXPECT_EQ(parallel.mailed, 0);
+  ExpectMatchesGolden(GetParam(), /*hint=*/false);
 }
 
 TEST_P(ParallelEngineOracleTest, WorkersOneWithHintsIsByteIdenticalToEngine) {
-  const RunResult serial = RunSerial(GetParam(), /*hint=*/true);
-  const RunResult parallel = RunParallel(GetParam(), /*workers=*/1, /*hint=*/true,
-                                         /*churn=*/true);
-  EXPECT_EQ(serial.run_fingerprint, parallel.run_fingerprint);
-  EXPECT_EQ(serial.lifecycle_fingerprint, parallel.lifecycle_fingerprint);
-  EXPECT_EQ(serial.services, parallel.services);
+  ExpectMatchesGolden(GetParam(), /*hint=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -213,7 +245,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- workers > 1, partitioned: exactness per shard group ---------------------
 
 // Partitioned sharded-SFS: per-CPU run-interval streams and per-home-shard
-// lifecycle streams must be byte-identical to the serial engine's at every
+// lifecycle streams must be byte-identical to the single worker's at every
 // worker count (per-CPU granularity is the finest grouping, so it covers any
 // coarser worker split).
 struct GroupedFingerprints {
@@ -233,55 +265,34 @@ sched::SchedConfig PartitionedConfig(int cpus) {
   return config;
 }
 
+// Every hook call for CPU c (run intervals) or home shard h (lifecycle) comes
+// from the worker owning it, so each accumulator has a single writer.
 GroupedFingerprints RunPartitioned(int workers, int cpus) {
   auto scheduler = CreateScheduler(SchedKind::kShardedSfs, PartitionedConfig(cpus));
   std::vector<common::Fnv1a> run_fps(static_cast<std::size_t>(cpus));
   std::vector<common::Fnv1a> life_fps(static_cast<std::size_t>(cpus));
-  auto run_hooks = [&](auto& engine) {
-    engine.RunUntil(kHorizon);
-  };
+  EngineConfig config;
+  config.workers = workers;
+  config.epoch = Msec(10);
+  Engine engine(*scheduler, config);
+  engine.SetRunIntervalHook([&run_fps](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
+    common::Fnv1a& fp = run_fps[static_cast<std::size_t>(cpu)];
+    fp.Mix(static_cast<std::uint64_t>(start));
+    fp.Mix(static_cast<std::uint64_t>(len));
+    fp.Mix(static_cast<std::uint64_t>(tid));
+  });
+  engine.SetSchedEventHook([&life_fps, cpus](SchedEvent event, const Task& task, Tick now) {
+    common::Fnv1a& fp = life_fps[static_cast<std::size_t>(task.tid() % cpus)];
+    fp.Mix(static_cast<std::uint64_t>(event));
+    fp.Mix(static_cast<std::uint64_t>(task.tid()));
+    fp.Mix(static_cast<std::uint64_t>(now));
+  });
+  AddWorkload(engine, cpus, /*hint=*/true, /*churn=*/false);
+  engine.RunUntil(kHorizon);
+
   GroupedFingerprints result;
-  if (workers == 0) {
-    Engine engine(*scheduler);
-    engine.SetRunIntervalHook([&run_fps](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-      common::Fnv1a& fp = run_fps[static_cast<std::size_t>(cpu)];
-      fp.Mix(static_cast<std::uint64_t>(start));
-      fp.Mix(static_cast<std::uint64_t>(len));
-      fp.Mix(static_cast<std::uint64_t>(tid));
-    });
-    engine.SetSchedEventHook([&life_fps, cpus](SchedEvent event, const Task& task, Tick now) {
-      common::Fnv1a& fp = life_fps[static_cast<std::size_t>(task.tid() % cpus)];
-      fp.Mix(static_cast<std::uint64_t>(event));
-      fp.Mix(static_cast<std::uint64_t>(task.tid()));
-      fp.Mix(static_cast<std::uint64_t>(now));
-    });
-    AddWorkload(engine, cpus, /*hint=*/true, /*churn=*/false);
-    run_hooks(engine);
-    result.dispatches = engine.dispatches();
-  } else {
-    ParallelEngineConfig config;
-    config.workers = workers;
-    config.epoch = Msec(10);
-    ParallelEngine engine(*scheduler, config);
-    engine.SetRunIntervalHook(
-        [&run_fps](int /*worker*/, Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-          common::Fnv1a& fp = run_fps[static_cast<std::size_t>(cpu)];
-          fp.Mix(static_cast<std::uint64_t>(start));
-          fp.Mix(static_cast<std::uint64_t>(len));
-          fp.Mix(static_cast<std::uint64_t>(tid));
-        });
-    engine.SetSchedEventHook(
-        [&life_fps, cpus](int /*worker*/, SchedEvent event, const Task& task, Tick now) {
-          common::Fnv1a& fp = life_fps[static_cast<std::size_t>(task.tid() % cpus)];
-          fp.Mix(static_cast<std::uint64_t>(event));
-          fp.Mix(static_cast<std::uint64_t>(task.tid()));
-          fp.Mix(static_cast<std::uint64_t>(now));
-        });
-    AddWorkload(engine, cpus, /*hint=*/true, /*churn=*/false);
-    run_hooks(engine);
-    result.dispatches = engine.dispatches();
-    result.mailed = engine.mailed_wakeups();
-  }
+  result.dispatches = engine.dispatches();
+  result.mailed = engine.mailed_wakeups();
   for (const auto& fp : run_fps) {
     result.per_cpu_run.push_back(fp.value());
   }
@@ -291,12 +302,23 @@ GroupedFingerprints RunPartitioned(int workers, int cpus) {
   return result;
 }
 
+// RunPartitioned(1, kCpus), recorded from the single-threaded engine before
+// the two engine implementations were merged.
+const GroupedFingerprints kPartitionedGolden = {
+    .per_cpu_run = {0x29cb8a31a7cb7917ULL, 0x99d0c48c58a60087ULL,
+                    0xec0085865164eb76ULL, 0xc00c9ddb106a847eULL},
+    .per_home_life = {0xd66889509062dd33ULL, 0x9d84f26aa77043e3ULL,
+                      0xa21049cde32e983dULL, 0x5d7ebbb8479ab3b8ULL},
+    .dispatches = 1326,
+    .mailed = 0,
+};
+
 TEST(ParallelEnginePartitionedTest, GroupStreamsMatchSerialOracleAtEveryWorkerCount) {
-  const GroupedFingerprints oracle = RunPartitioned(/*workers=*/0, kCpus);
-  for (const int workers : {1, 2, 4}) {
-    GroupedFingerprints parallel = RunPartitioned(workers, kCpus);
+  const GroupedFingerprints oracle = RunPartitioned(/*workers=*/1, kCpus);
+  EXPECT_EQ(oracle, kPartitionedGolden);
+  for (const int workers : {2, 4}) {
+    const GroupedFingerprints parallel = RunPartitioned(workers, kCpus);
     EXPECT_EQ(parallel.mailed, 0) << "partitioned runs must not mail";
-    parallel.mailed = 0;
     EXPECT_EQ(parallel, oracle) << "workers=" << workers;
   }
 }
@@ -309,9 +331,20 @@ TEST(ParallelEnginePartitionedTest, RerunsAreDeterministic) {
 
 // --- workers > 1, unpartitioned: conservation + mailboxes --------------------
 
+// Arrival/departure tallies; the hook runs concurrently on the workers.
 struct Conservation {
-  std::int64_t arrivals = 0;
-  std::int64_t departures = 0;
+  std::atomic<std::int64_t> arrivals{0};
+  std::atomic<std::int64_t> departures{0};
+
+  std::function<void(SchedEvent, const Task&, Tick)> Hook() {
+    return [this](SchedEvent event, const Task&, Tick) {
+      if (event == SchedEvent::kArrival) {
+        arrivals.fetch_add(1, std::memory_order_relaxed);
+      } else if (event == SchedEvent::kDeparture) {
+        departures.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+  }
 };
 
 // Hintless sleepers on a sharded policy: arrivals round-robin across workers
@@ -320,20 +353,13 @@ struct Conservation {
 // RunUntil segments (quiescent surgery).  TSan target.
 TEST(ParallelEngineStressTest, HintlessShardedRunConservesTasksAndExercisesMail) {
   auto scheduler = CreateScheduler(SchedKind::kShardedSfs, TestConfig(kCpus));
-  ParallelEngineConfig config;
+  EngineConfig config;
   config.workers = kCpus;
   config.epoch = Msec(5);
-  ParallelEngine engine(*scheduler, config);
+  Engine engine(*scheduler, config);
 
-  std::vector<Conservation> per_worker(static_cast<std::size_t>(kCpus));
-  engine.SetSchedEventHook(
-      [&per_worker](int worker, SchedEvent event, const Task&, Tick) {
-        if (event == SchedEvent::kArrival) {
-          ++per_worker[static_cast<std::size_t>(worker)].arrivals;
-        } else if (event == SchedEvent::kDeparture) {
-          ++per_worker[static_cast<std::size_t>(worker)].departures;
-        }
-      });
+  Conservation tally;
+  engine.SetSchedEventHook(tally.Hook());
 
   ThreadId next_tid = 1;
   for (int i = 0; i < 2; ++i) {
@@ -362,20 +388,14 @@ TEST(ParallelEngineStressTest, HintlessShardedRunConservesTasksAndExercisesMail)
   }
   engine.RunUntil(Sec(4));
 
-  std::int64_t arrivals = 0;
-  std::int64_t departures = 0;
-  for (const Conservation& c : per_worker) {
-    arrivals += c.arrivals;
-    departures += c.departures;
-  }
   std::int64_t live = 0;
   engine.ForEachTask([&live](const Task& task) {
     if (task.state() != Task::State::kNew && task.state() != Task::State::kExited) {
       ++live;
     }
   });
-  EXPECT_EQ(arrivals, total_tasks);
-  EXPECT_EQ(arrivals, departures + live);
+  EXPECT_EQ(tally.arrivals.load(), total_tasks);
+  EXPECT_EQ(tally.arrivals.load(), tally.departures.load() + live);
   // Every dispatch is eventually charged as a run interval except tasks still
   // on-CPU at the horizon (at most one per simulated processor).
   EXPECT_GT(engine.dispatches(), 0);
@@ -387,21 +407,13 @@ TEST(ParallelEngineStressTest, HintlessShardedRunConservesTasksAndExercisesMail)
 // scheduler, wakeups never mail, conservation still holds.  TSan target.
 TEST(ParallelEngineStressTest, FlatPolicyManyWorkersConserves) {
   auto scheduler = CreateScheduler(SchedKind::kSfs, TestConfig(kCpus));
-  ParallelEngineConfig config;
+  EngineConfig config;
   config.workers = kCpus;
   config.epoch = Msec(5);
-  ParallelEngine engine(*scheduler, config);
+  Engine engine(*scheduler, config);
 
-  std::vector<std::int64_t> arrivals(static_cast<std::size_t>(kCpus));
-  std::vector<std::int64_t> departures(static_cast<std::size_t>(kCpus));
-  engine.SetSchedEventHook(
-      [&arrivals, &departures](int worker, SchedEvent event, const Task&, Tick) {
-        if (event == SchedEvent::kArrival) {
-          ++arrivals[static_cast<std::size_t>(worker)];
-        } else if (event == SchedEvent::kDeparture) {
-          ++departures[static_cast<std::size_t>(worker)];
-        }
-      });
+  Conservation tally;
+  engine.SetSchedEventHook(tally.Hook());
 
   ThreadId next_tid = 1;
   for (int i = 0; i < 12; ++i) {
@@ -418,30 +430,28 @@ TEST(ParallelEngineStressTest, FlatPolicyManyWorkersConserves) {
   const int total_tasks = static_cast<int>(next_tid) - 1;
   engine.RunUntil(Sec(3));
 
-  std::int64_t arrived = 0;
-  std::int64_t departed = 0;
-  for (int w = 0; w < kCpus; ++w) {
-    arrived += arrivals[static_cast<std::size_t>(w)];
-    departed += departures[static_cast<std::size_t>(w)];
-  }
   std::int64_t live = 0;
   engine.ForEachTask([&live](const Task& task) {
     if (task.state() != Task::State::kNew && task.state() != Task::State::kExited) {
       ++live;
     }
   });
-  EXPECT_EQ(arrived, total_tasks);
-  EXPECT_EQ(arrived, departed + live);
+  EXPECT_EQ(tally.arrivals.load(), total_tasks);
+  EXPECT_EQ(tally.arrivals.load(), tally.departures.load() + live);
   EXPECT_EQ(engine.mailed_wakeups(), 0) << "flat policies keep every wakeup local";
 }
 
 // --- auto-grow ---------------------------------------------------------------
 
-// No ReserveTasks, sparse and out-of-order tids: the tid->slot index must
-// auto-grow geometrically and stay correct.
+// No ReserveTasks, sparse and out-of-order tids, hintless arrivals split
+// across two workers: the tid->slot index must auto-grow geometrically and
+// stay correct (EngineTest.SparseTidsAutoGrowWithoutReserve is the
+// single-worker case).
 TEST(ParallelEngineGrowthTest, SparseTidsWithoutReserve) {
   auto scheduler = CreateScheduler(SchedKind::kSfs, TestConfig(2));
-  ParallelEngine engine(*scheduler);
+  EngineConfig config;
+  config.workers = 2;
+  Engine engine(*scheduler, config);
   const ThreadId tids[] = {5000, 3, 1200, 77, 999999, 42};
   for (const ThreadId tid : tids) {
     engine.AddTaskAt(0, workload::MakeInf(tid, 1.0, "t"));
