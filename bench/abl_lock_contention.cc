@@ -20,7 +20,7 @@
 //
 // The harness mirrors runtime::Executor's dispatcher loop — pick under
 // LockDispatch, "run" the pick, charge under LockDispatch — but replaces the
-// granted worker's real quantum with a fixed short think time, so the lock
+// granted task's real quantum with a fixed short think time, so the lock
 // path is the only variable between configurations (real spinning workers
 // would just measure host-core oversubscription).  The interesting signal on
 // a host with fewer cores than p is the tail: a global-lock holder that the
@@ -160,7 +160,7 @@ ModeResult RunMode(const ModeSpec& mode, int cpus) {
 // a blocking workload: the timer applies each wakeup under a try-locked
 // dispatch lock or pushes it to the home CPU's wait-free mailbox with one
 // targeted kick, and the home dispatcher drains it inside its next
-// dispatch-lock hold.
+// dispatch-lock hold (between work units, or at its next pick).
 
 struct WakeResult {
   HistogramSnapshot lock_wait;      // per-decision dispatch-lock wait, ns
@@ -298,8 +298,10 @@ SFS_EXPERIMENT(abl_lock_contention,
     reporter.Timing(prefix + "wake_to_dispatch_p99_us", w2d_p99_us);
     reporter.Timing(prefix + "mean_lock_wait_us", mean_wait_us);
     reporter.Timing(prefix + "kicks_per_wakeup", kicks_per_wakeup);
-    reporter.Metric(prefix + "wakeups", result.wakeups);
-    reporter.Metric(prefix + "dispatches", result.dispatches);
+    // Both counts depend on thread timing, so they stay out of the
+    // deterministic section.
+    reporter.Timing(prefix + "wakeups", static_cast<double>(result.wakeups));
+    reporter.Timing(prefix + "dispatches", static_cast<double>(result.dispatches));
     reporter.TimingHistogram(prefix + "wake_to_dispatch_ns", result.wake_dispatch);
     reporter.TimingHistogram(prefix + "lock_wait_ns", result.lock_wait);
   }

@@ -17,9 +17,9 @@
 // Run for both the time-sharing baseline and SFS; the paper's shape is that SFS
 // costs a few microseconds more per switch, vanishing against the 200 ms
 // quantum, with the gap narrowing as working sets dominate.  A second section
-// measures the cooperative-switch latency with real std::threads under the
-// user-level executor.  Everything here is wall-clock; it reaches the JSON only
-// under --timing.
+// measures the cooperative-switch latency of tasks run by the user-level
+// executor's real dispatcher threads.  Everything here is wall-clock; it
+// reaches the JSON only under --timing.
 
 #include <chrono>
 #include <cstdint>
@@ -102,14 +102,16 @@ double CtxSwitchNs(SchedKind kind, int threads, int kb) {
   });
 }
 
-// Real-thread section: actual std::threads under the user-level executor, with
-// lmbench's working-set-touch model inside each work unit.  The reported value
-// is the preempt-flag-to-yield latency — the cooperative analogue of lmbench's
-// context-switch time.  Since the executor went concurrent (one dispatcher
-// thread per CPU driving the scheduler in parallel under the scheduler.h
-// locking contract), these latencies include real cross-dispatcher lock
-// traffic — sharded-sfs rides per-shard locks, the flat policies one coarse
-// dispatch mutex; abl_lock_contention isolates that difference as p grows.
+// Real-thread section: tasks run by the user-level executor's dispatcher
+// threads (one per CPU, switching between tasks by calling their work units),
+// with lmbench's working-set-touch model inside each work unit.  The reported
+// value is the preemption-to-yield latency — from the quantum deadline (or a
+// wakeup's preempt poke) to the end of the work unit in flight — the
+// cooperative analogue of lmbench's context-switch time.  The dispatchers
+// drive the scheduler in parallel under the scheduler.h locking contract, so
+// these latencies include real cross-dispatcher lock traffic — sharded-sfs
+// rides per-shard locks, the flat policies one coarse dispatch mutex;
+// abl_lock_contention isolates that difference as p grows.
 void RealThreadSection(Reporter& reporter) {
   using sfs::runtime::Executor;
   sfs::common::Table table(

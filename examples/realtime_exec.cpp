@@ -1,6 +1,6 @@
-// Real threads, real CPU: the user-level executor runs actual std::threads under
-// SFS with cooperative preemption, demonstrating proportional sharing on the
-// host machine (not in the simulator).
+// Real threads, real CPU: the user-level executor's dispatcher threads (one
+// per CPU) run tasks under SFS with cooperative preemption, demonstrating
+// proportional sharing on the host machine (not in the simulator).
 //
 //   $ ./examples/realtime_exec
 
@@ -18,14 +18,14 @@ int main() {
   using namespace sfs;
 
   sched::SchedConfig config;
-  config.num_cpus = 2;  // two workers may hold the CPU at once
+  config.num_cpus = 2;  // two dispatcher threads: two tasks run at once
   sched::Sfs scheduler(config);
 
   runtime::Executor::Config exec_config;
   exec_config.quantum = Msec(10);
   runtime::Executor executor(scheduler, exec_config);
 
-  // Three spinning workers with weights 1 : 2 : 4 — each work unit burns ~50 us.
+  // Three spinning tasks with weights 1 : 2 : 4 — each work unit burns ~50 us.
   auto units = std::make_shared<std::array<std::atomic<std::int64_t>, 3>>();
   const double weights[] = {1.0, 2.0, 4.0};
   for (sched::ThreadId tid = 0; tid < 3; ++tid) {
@@ -38,7 +38,7 @@ int main() {
     });
   }
 
-  std::cout << "Running 3 real threads (weights 1:2:4) on 2 virtual CPUs for 2s...\n\n";
+  std::cout << "Running 3 tasks (weights 1:2:4) on 2 dispatcher threads for 2s...\n\n";
   const Tick wall = executor.Run(Sec(2));
 
   common::Table table({"task", "weight", "work units", "CPU time (ms)", "share"});
@@ -48,7 +48,7 @@ int main() {
   }
   for (sched::ThreadId tid = 0; tid < 3; ++tid) {
     const Tick cpu = executor.CpuTime(tid);
-    table.AddRow({"worker-" + std::to_string(tid), common::Table::Cell(weights[tid], 0),
+    table.AddRow({"task-" + std::to_string(tid), common::Table::Cell(weights[tid], 0),
                   common::Table::Cell((*units)[static_cast<std::size_t>(tid)].load()),
                   common::Table::Cell(cpu / kTicksPerMsec),
                   common::Table::Cell(static_cast<double>(cpu) / static_cast<double>(total_cpu),

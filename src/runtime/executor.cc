@@ -1,6 +1,7 @@
 #include "src/runtime/executor.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "src/common/assert.h"
@@ -46,19 +47,6 @@ Executor::Executor(sched::Scheduler& scheduler, const Config& config)
   }
 }
 
-Executor::~Executor() {
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) {
-      w->shutdown.store(true);
-      {
-        common::MutexLock lk(w->mu);
-      }
-      w->cv.NotifyAll();
-      w->thread.join();
-    }
-  }
-}
-
 void Executor::AddTask(sched::ThreadId tid, sched::Weight weight,
                        std::function<WorkResult()> work) {
   SFS_CHECK(!started_);
@@ -74,69 +62,6 @@ void Executor::AddTask(sched::ThreadId tid, sched::Weight weight,
   AddTask(tid, weight, [body = std::move(work)] {
     return body() ? WorkResult::Continue() : WorkResult::Done();
   });
-}
-
-void Executor::WorkerBody(Worker& w) {
-  for (;;) {
-    sched::CpuId cpu;
-    {
-      common::MutexLock lk(w.mu);
-      while (!w.granted && !w.shutdown.load()) {
-        w.cv.Wait(w.mu);
-      }
-      if (w.shutdown.load()) {
-        return;
-      }
-      cpu = w.granted_cpu;
-    }
-    const Clock::time_point start = Clock::now();
-    Report report;
-    report.tid = w.tid;
-    while (true) {
-      if (w.preempt.load(std::memory_order_relaxed)) {
-        report.preempt_observed = true;
-        break;
-      }
-      const WorkResult result = w.work();
-      if (result.kind != WorkResult::Kind::kContinue) {
-        report.kind = result.kind;
-        report.block_for = result.block_for;
-        break;
-      }
-    }
-    const Clock::time_point end = Clock::now();
-    report.ran = std::max<Tick>(0, ToTicks(end - start));
-    report.yielded_at = end;
-    {
-      common::MutexLock lk(w.mu);
-      w.granted = false;
-    }
-    w.preempt.store(false);
-
-    const bool done = report.kind == WorkResult::Kind::kDone;
-    Cpu& mailbox = *cpus_[static_cast<std::size_t>(cpu)];
-    {
-      common::MutexLock lk(mailbox.mu);
-      SFS_CHECK(!mailbox.report.has_value());
-      mailbox.report = report;
-    }
-    mailbox.cv.NotifyAll();
-    if (done) {
-      return;
-    }
-  }
-}
-
-void Executor::Grant(Worker& w, sched::CpuId cpu) {
-  // The caller has already cleared any stale preempt flag under cpu.mu (the
-  // same lock pokes hold while setting it), so the flag cannot be erased/lost
-  // across this handoff.
-  {
-    common::MutexLock lk(w.mu);
-    w.granted = true;
-    w.granted_cpu = cpu;
-  }
-  w.cv.NotifyOne();
 }
 
 void Executor::KickOneParked(sched::CpuId hint) {
@@ -171,8 +96,8 @@ void Executor::KickAllParked() {
 void Executor::KickAfterStateChange(sched::CpuId hint) {
   // Only fan out when there is runnable work nobody is running
   // (runnable_count counts running threads too, so compare against the
-  // granted-CPU count).  Both loads are racy snapshots; a stale read at worst
-  // delays the fan-out by one idle recheck.
+  // count of CPUs running a slice).  Both loads are racy snapshots; a stale
+  // read at worst delays the fan-out by one idle recheck.
   if (scheduler_.runnable_count() > running_cpus_.load(std::memory_order_relaxed)) {
     KickOneParked(hint);
   }
@@ -181,12 +106,6 @@ void Executor::KickAfterStateChange(sched::CpuId hint) {
 void Executor::StopAll() {
   stop_.store(true);
   KickAllParked();
-  for (auto& cpu : cpus_) {
-    {
-      common::MutexLock lk(cpu->mu);
-    }
-    cpu->cv.NotifyAll();
-  }
   {
     common::MutexLock lk(timer_mu_);
   }
@@ -262,11 +181,10 @@ int Executor::DrainMailboxLocked(sched::CpuId cpu_idx) {
 void Executor::PokePreempt(const PreemptPoke& poke) {
   Cpu& target = *cpus_[static_cast<std::size_t>(poke.cpu)];
   common::MutexLock lk(target.mu);
-  // Only preempt if that CPU's dispatcher still has this worker granted and
-  // its report is not already in the mailbox; the flag store happens under
-  // target.mu so it cannot race a Grant-time clear (which also holds
-  // target.mu) and truncate an unrelated fresh slice.
-  if (target.running_tid == poke.tid && !target.preempt_sent && !target.report.has_value()) {
+  // Only preempt if that CPU is still running this task's slice; the flag
+  // store happens under target.mu so it cannot race a grant-time clear (which
+  // also holds target.mu) and truncate an unrelated fresh slice.
+  if (target.running_tid == poke.tid && !target.preempt_sent) {
     target.preempt_sent = true;
     target.preempt_sent_at = Clock::now();
     WorkerByTid(poke.tid).preempt.store(true, std::memory_order_relaxed);
@@ -286,8 +204,8 @@ void Executor::HandleReport(sched::CpuId cpu_idx, const Report& report, bool pre
   if (preempt_sent && report.preempt_observed) {
     // Raw time-point subtraction: both instants keep the clock's native
     // resolution, so the latency is not the difference of two independently
-    // truncated values.  (A negative value is still possible if the worker
-    // was already past its flag check when the flag landed; clamp to zero.)
+    // truncated values.  The slice ends only after the flag or the deadline
+    // was seen, so the difference is non-negative; the clamp is defensive.
     const double latency_us =
         static_cast<double>(DurationNs(report.yielded_at - preempt_sent_at)) / 1000.0;
     cpus_[static_cast<std::size_t>(cpu_idx)]->preempt_latencies.Add(
@@ -430,10 +348,10 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     }
     {
       common::MutexLock lk(cpu.mu);
-      // Clear any stale preempt flag (e.g. a poke that raced with the
-      // worker's previous voluntary yield) before publishing running_tid:
-      // pokes only store the flag while holding cpu.mu *after* seeing
-      // running_tid, so a wakeup preemption can never be erased by this clear.
+      // Clear any stale preempt flag (e.g. a poke that raced with the task's
+      // previous voluntary yield) before publishing running_tid: pokes only
+      // store the flag while holding cpu.mu *after* seeing running_tid, so a
+      // wakeup preemption can never be erased by this clear.
       w->preempt.store(false);
       cpu.running_tid = tid;
       cpu.preempt_sent = false;
@@ -441,68 +359,30 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     cpu.grant_at.store(ToTicks(picked - t0_), std::memory_order_relaxed);
     cpu.running_hint.store(tid, std::memory_order_relaxed);
     running_cpus_.fetch_add(1, std::memory_order_relaxed);
-    Grant(*w, cpu_idx);
     // A dispatch is itself a state change: a previously unstealable shard may
     // now be busy, making its queued threads fair game for idle thieves.
     // This is the baton pass — one more parked CPU wakes if runnable work
     // remains beyond what is running.
     KickAfterStateChange(cpu_idx);
 
+    // Run the slice on this thread, one work unit at a time.  The first unit
+    // always runs; between units the dispatcher services its mailbox (a
+    // wakeup routed here becomes runnable now, may poke this very slice, or
+    // is handed to a parked peer) and yields when the preempt flag is set or
+    // the slice deadline has passed — the user-level preemption point.
     const Clock::time_point deadline = std::min(picked + FromTicks(quantum), wall_end_);
+    const Clock::time_point start = Clock::now();
     Report report;
-    bool have_report = false;
-    bool preempt_sent = false;
-    Clock::time_point preempt_sent_at{};
-    while (!have_report) {
-      bool want_drain = false;
-      {
-        common::MutexLock lk(cpu.mu);
-        for (;;) {
-          if (cpu.report.has_value()) {
-            break;
-          }
-          // Mid-quantum mailbox service: a wakeup routed here while we are
-          // busy must become runnable (and possibly preempt, or be stolen by
-          // a kicked peer) now, not when this slice ends.  The timer nudges
-          // cpu.cv after every push; checking before the first wait covers a
-          // push that landed before we got here.
-          if (!cpu.mailbox.Empty()) {
-            want_drain = true;
-            break;
-          }
-          if (cpu.cv.WaitUntil(cpu.mu, deadline) == std::cv_status::timeout) {
-            break;
-          }
-        }
-        if (!cpu.report.has_value() && !want_drain) {
-          // Quantum expired (or the run is ending): preempt the worker —
-          // unless a wakeup poke already preempted this slice, whose earlier
-          // flag-set instant must survive or the recorded preempt-to-yield
-          // latency would shrink.
-          if (!cpu.preempt_sent) {
-            cpu.preempt_sent = true;
-            cpu.preempt_sent_at = Clock::now();
-            w->preempt.store(true, std::memory_order_relaxed);
-          }
-          // The worker is guaranteed to observe the flag within one work unit.
-          while (!cpu.report.has_value()) {
-            cpu.cv.Wait(cpu.mu);
-          }
-        }
-        if (cpu.report.has_value()) {
-          report = *cpu.report;
-          cpu.report.reset();
-          preempt_sent = cpu.preempt_sent;
-          preempt_sent_at = cpu.preempt_sent_at;
-          cpu.preempt_sent = false;
-          cpu.running_tid = sched::kInvalidThread;
-          have_report = true;
-        }
+    report.tid = tid;
+    for (;;) {
+      const WorkResult result = w->work();
+      if (result.kind != WorkResult::Kind::kContinue) {
+        report.kind = result.kind;
+        report.block_for = result.block_for;
+        report.yielded_at = Clock::now();
+        break;
       }
-      if (!have_report) {
-        // want_drain: apply the queued wakeups under our dispatch lock, poke
-        // any suggested preemption (possibly our own slice), hand spare work
-        // to a parked peer, then resume waiting out the quantum.
+      if (!cpu.mailbox.Empty()) {
         {
           auto guard = scheduler_.LockDispatch(cpu_idx);
           if (trace_) {
@@ -513,6 +393,31 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
         ApplyPreemptPokes(cpu);
         KickAfterStateChange(cpu_idx);
       }
+      const bool poked = w->preempt.load(std::memory_order_relaxed);
+      const Clock::time_point now = Clock::now();
+      if (poked || now >= deadline) {
+        report.preempt_observed = true;
+        report.yielded_at = now;
+        break;
+      }
+    }
+    report.ran = std::max<Tick>(0, ToTicks(report.yielded_at - start));
+    bool preempt_sent = false;
+    Clock::time_point preempt_sent_at{};
+    {
+      common::MutexLock lk(cpu.mu);
+      preempt_sent = cpu.preempt_sent;
+      preempt_sent_at = cpu.preempt_sent_at;
+      cpu.preempt_sent = false;
+      cpu.running_tid = sched::kInvalidThread;
+    }
+    // A quantum expiry preempts at the deadline itself, so its latency runs
+    // from the deadline to the end of the unit that overran it — unless a
+    // wakeup poke already preempted this slice earlier, whose instant wins.
+    if (report.preempt_observed && report.yielded_at >= deadline &&
+        (!preempt_sent || deadline < preempt_sent_at)) {
+      preempt_sent = true;
+      preempt_sent_at = deadline;
     }
     cpu.running_hint.store(sched::kInvalidThread, std::memory_order_relaxed);
     running_cpus_.fetch_sub(1, std::memory_order_relaxed);
@@ -531,10 +436,10 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     }
     HandleReport(cpu_idx, report, preempt_sent, preempt_sent_at);
   }
-  // No slice is ever in flight here: an iteration that grants always waits
-  // out the report (preempting at deadline = min(quantum end, wall_end_), so
-  // the wall limit itself winds the last slice down) and charges it before
-  // the loop re-checks stop_/wall_end_.
+  // No slice is ever in flight here: an iteration that grants runs the slice
+  // to its end (deadline = min(quantum end, wall_end_), so the wall limit
+  // itself winds the last slice down) and charges it before the loop
+  // re-checks stop_/wall_end_.
   {
     common::MutexLock lk(cpu.mu);
     SFS_CHECK(cpu.running_tid == sched::kInvalidThread);
@@ -619,10 +524,6 @@ void Executor::TimerLoop() {
       home.mailbox.Push(WakeMsg{wake.tid, wake.at});
       home.park.Kick();
       kicks_.fetch_add(1, std::memory_order_relaxed);
-      {
-        common::MutexLock lk(home.mu);  // a busy dispatcher between its
-      }                                 // mailbox check and its report wait
-      home.cv.NotifyAll();              // must not miss the nudge
     }
   }
 }
@@ -666,7 +567,6 @@ Tick Executor::Run(Tick wall_limit) {
     trace_->PublishNow(0);
   }
 
-  // Register and launch every worker (they start waiting for a grant).
   {
     auto guard = scheduler_.LockLifecycle();
     for (auto& w : workers_) {
@@ -676,9 +576,6 @@ Tick Executor::Run(Tick wall_limit) {
                                 w->tid);
       }
     }
-  }
-  for (auto& w : workers_) {
-    w->thread = std::thread([this, worker = w.get()] { WorkerBody(*worker); });
   }
 
   std::thread timer([this] { TimerLoop(); });
@@ -701,25 +598,13 @@ Tick Executor::Run(Tick wall_limit) {
     }
   }
 
-  // Unregister tasks that never finished, then stop their (waiting) threads.
+  // Unregister tasks that never finished.
   {
     auto guard = scheduler_.LockLifecycle();
     for (auto& w : workers_) {
       if (scheduler_.Contains(w->tid)) {
         scheduler_.RemoveThread(w->tid);
       }
-    }
-  }
-  for (auto& w : workers_) {
-    w->shutdown.store(true);
-    {
-      common::MutexLock lk(w->mu);
-    }
-    w->cv.NotifyAll();
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) {
-      w->thread.join();
     }
   }
   return ToTicks(Clock::now() - t0_);

@@ -1,22 +1,25 @@
 // sfs::runtime — the user-level scheduling runtime.
 //
-// Runs genuine std::threads under the control of any sched::Scheduler,
-// mirroring the kernel arrangement at user level:
+// Runs tasks under the control of any sched::Scheduler, mirroring the kernel
+// arrangement at user level:
 //
-//   * at most `num_cpus` workers are granted the CPU at once (the
-//     "processors");
 //   * one dispatcher thread *per CPU* plays the role of that processor's
-//     scheduler invocation: it picks, grants, times the quantum, sets the
-//     worker's preempt flag on expiry, charges the scheduler with the
-//     *measured* run time, and dispatches the next pick — concurrently with
-//     every other CPU's dispatcher, exactly as kernel CPUs run schedule() in
-//     parallel (Section 3.1: quanta on different processors are not
-//     synchronized);
+//     schedule(): it picks, runs the picked task's work units itself (the
+//     user-level context switch is a function call, as the kernel switches
+//     straight into the thread it picks), charges the scheduler with the
+//     *measured* run time, and picks again — concurrently with every other
+//     CPU's dispatcher, exactly as kernel CPUs run schedule() in parallel
+//     (Section 3.1: quanta on different processors are not synchronized).
+//     A task is a work function, not an OS thread, so at most `num_cpus`
+//     tasks run at once by construction;
 //   * a timer thread delivers simulated-I/O completions: tasks may return
 //     WorkResult::Block(d) to sleep, the scheduler sees Block/Wakeup, and the
 //     runtime stays work-conserving;
-//   * preemption is cooperative: worker bodies perform a small unit of work
-//     per call and re-check the flag, like a kernel preemption point.
+//   * preemption is cooperative: a task's work function performs a small
+//     unit of work per call, and between units the dispatcher checks the
+//     task's preempt flag and the slice deadline, like a kernel preemption
+//     point.  A unit that overruns its quantum is charged in full when it
+//     returns; the other CPUs keep dispatching meanwhile.
 //
 // Wake and dispatch mechanics:
 //
@@ -26,23 +29,27 @@
 //     condition variable.  The Prepare-token-before-final-look protocol
 //     (parking.h) makes a kick that races between an empty pick and the park
 //     impossible to lose.
-//   * MAILBOX — each dispatcher owns a wait-free MPSC mailbox
-//     (common::MpscMailbox).  The timer routes each expired wakeup to the
-//     woken thread's *home* CPU — the one whose LockDispatch covers the
-//     lifecycle relaxation of the scheduler contract (Scheduler::HomeCpu) —
-//     by pushing a message and kicking that slot; it never touches a
-//     scheduler lock itself.
+//   * TRY-LOCK — untraced, the timer applies an expired wakeup itself when
+//     the home shard's dispatch lock is free.  A dispatcher holds no
+//     scheduler lock while a work unit runs, so this is the common path, and
+//     it makes the thread runnable (and possibly preempts, or hands it to a
+//     parked peer) even while its home CPU is mid-unit.
+//   * MAILBOX — otherwise (contended, or tracing on) the timer routes the
+//     wakeup to the woken thread's *home* CPU — the one whose LockDispatch
+//     covers the lifecycle relaxation of the scheduler contract
+//     (Scheduler::HomeCpu) — by pushing a message onto that dispatcher's
+//     wait-free MPSC mailbox (common::MpscMailbox) and kicking its slot; it
+//     never waits on a scheduler lock itself.
 //   * ONE HOLD PER PICK — the home dispatcher drains its mailbox (applying
 //     Wakeup + SuggestPreemption per message) and runs PickNext under one
 //     LockDispatch hold.  Preempt pokes suggested by the drain are applied
 //     after the hold is released (the runtime never holds a dispatch mutex
 //     and a Cpu::mu together — see the lock-order note below).
-//   * A dispatcher mid-quantum drains its mailbox too: the timer's kick also
-//     nudges the CPU's report wait, which exits the wait, drains under
-//     LockDispatch, applies pokes, and resumes waiting.  A wakeup whose home
-//     CPU is busy therefore still becomes runnable immediately (and may
-//     preempt, or be stolen by a kicked peer) rather than languishing until
-//     the current slice ends.
+//   * A dispatcher mid-slice drains its mailbox between work units, under
+//     LockDispatch, then applies pokes and fans work out as above.  A mailbox
+//     wakeup whose home CPU is in the middle of a unit is therefore applied
+//     when that unit returns — with tracing on, that is every wakeup to a
+//     busy CPU.
 //
 // Work conservation with single kicks: every wakeup kicks its home CPU
 // unconditionally; after a successful pick, the dispatcher passes the baton —
@@ -54,7 +61,7 @@
 // liveness.
 //
 // Lock order (validated in debug builds): dispatch mutexes < everything
-// else.  Cpu::mu and Worker::mu are leaf locks; the runtime never acquires a
+// else.  Cpu::mu is a leaf lock; the runtime never acquires a
 // scheduler lock while holding them, and never acquires them while holding a
 // scheduler lock.  Preempt pokes discovered under LockDispatch are therefore
 // parked in a per-dispatcher scratch vector and applied after the guard is
@@ -83,9 +90,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "src/common/mpsc_mailbox.h"
@@ -148,16 +153,18 @@ class Executor {
 
   // The scheduler decides who runs; its num_cpus() bounds concurrency.
   Executor(sched::Scheduler& scheduler, const Config& config);
-  ~Executor();
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Registers a worker before Run().  `work` is invoked repeatedly while the
-  // task holds a CPU; each call should do a small unit (tens of microseconds)
-  // of work and report through its WorkResult whether to continue, finish, or
-  // block.  Task ids should be small and dense: dispatch routing uses a
-  // tid-indexed flat vector (the scheduler's by_tid_ idiom).
+  // Registers a task before Run().  `work` is invoked repeatedly, on the
+  // dispatcher thread of whichever CPU runs the task; each call should do a
+  // small unit (tens of microseconds) of work and report through its
+  // WorkResult whether to continue, finish, or block.  Successive calls never
+  // overlap and are ordered by the scheduler's locks, so per-task state needs
+  // no synchronization of its own.  Task ids should be small and dense:
+  // dispatch routing uses a tid-indexed flat vector (the scheduler's by_tid_
+  // idiom).
   void AddTask(sched::ThreadId tid, sched::Weight weight,
                std::function<WorkResult()> work);
 
@@ -172,8 +179,10 @@ class Executor {
   // Measured CPU time granted to a task (ticks of wall time while scheduled).
   Tick CpuTime(sched::ThreadId tid) const;
 
-  // Latency from preempt-flag set to the worker actually yielding; a user-level
-  // proxy for context-switch cost.  Computed from raw steady_clock time points
+  // Latency from preemption to the task actually yielding — from the poke for
+  // a wakeup preemption, from the slice deadline for a quantum expiry — to
+  // the end of the work unit in flight; a user-level proxy for
+  // context-switch cost.  Computed from raw steady_clock time points
   // (flag-set and yield instants are subtracted *before* any truncation to
   // ticks, so the samples carry no quantization bias).
   const common::SampleSet& preempt_latencies() const { return preempt_latencies_; }
@@ -229,8 +238,8 @@ class Executor {
     Tick ran = 0;
     WorkResult::Kind kind = WorkResult::Kind::kContinue;
     Tick block_for = 0;
-    bool preempt_observed = false;   // yielded because the flag was set
-    Clock::time_point yielded_at{};  // raw instant the work loop exited
+    bool preempt_observed = false;   // yielded on the flag or the deadline
+    Clock::time_point yielded_at{};  // raw instant the slice ended
   };
 
   struct Worker {
@@ -238,19 +247,15 @@ class Executor {
     sched::Weight weight = 1.0;
     std::function<WorkResult()> work;
 
-    common::Mutex mu;
-    common::CondVar cv;
-    bool granted SFS_GUARDED_BY(mu) = false;
-    sched::CpuId granted_cpu SFS_GUARDED_BY(mu) = sched::kInvalidCpu;
+    // Set (under the running CPU's Cpu::mu) to end the current slice at the
+    // next unit boundary.
     std::atomic<bool> preempt{false};
-    std::atomic<bool> shutdown{false};
 
     // Wall-ns instant (trace epoch) the pending wakeup came due; -1 when no
     // wakeup is in flight.  Stored where Wakeup is applied, exchanged out at
     // the grant that runs the thread again — the wake_to_dispatch sample.
     std::atomic<std::int64_t> wake_pending_ns{-1};
 
-    std::thread thread;
     Tick cpu_time = 0;  // written under the dispatch/lifecycle lock of the charging CPU
   };
 
@@ -267,12 +272,10 @@ class Executor {
     sched::ThreadId tid = sched::kInvalidThread;
   };
 
-  // Per-processor dispatcher state.  report/cv carry the running worker's
-  // yield report back to this CPU's dispatcher; park/mailbox carry wakeups in.
+  // Per-processor dispatcher state.  mu guards the running slice's identity
+  // against preempt pokes; park/mailbox carry wakeups in.
   struct Cpu {
     common::Mutex mu;
-    common::CondVar cv;
-    std::optional<Report> report SFS_GUARDED_BY(mu);
     sched::ThreadId running_tid SFS_GUARDED_BY(mu) = sched::kInvalidThread;
     bool preempt_sent SFS_GUARDED_BY(mu) = false;
     Clock::time_point preempt_sent_at SFS_GUARDED_BY(mu){};
@@ -318,8 +321,6 @@ class Executor {
     bool operator>(const PendingWakeup& other) const { return at > other.at; }
   };
 
-  void WorkerBody(Worker& w);
-  void Grant(Worker& w, sched::CpuId cpu);
   void DispatcherLoop(sched::CpuId cpu);
   void TimerLoop();
   void HandleReport(sched::CpuId cpu, const Report& report, bool preempt_sent,
@@ -388,7 +389,7 @@ class Executor {
 
   std::atomic<bool> stop_{false};
   std::atomic<int> active_{0};
-  // CPUs currently between Grant and report pickup; the baton-kick predicate
+  // CPUs currently running a slice; the baton-kick predicate
   // compares it with scheduler_.runnable_count() (which counts running
   // threads too) to estimate queued-but-not-running work.
   std::atomic<int> running_cpus_{0};

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "src/obs/metrics.h"
@@ -163,12 +165,12 @@ TEST(ExecutorTest, WakeupRedispatchesIdleCpus) {
 }
 
 TEST(ExecutorTest, WindDownDrainsInFlightSlices) {
-  // The wall limit expires while every CPU has a granted worker mid-quantum;
-  // wind-down must preempt them, drain the final reports, and charge the
-  // in-flight slices so CPU-time accounting stays complete.
+  // The wall limit expires while every CPU is mid-slice; wind-down must end
+  // each slice at its next unit boundary and charge it, so CPU-time
+  // accounting stays complete.
   sched::Sfs scheduler(Config(2));
   Executor::Config config;
-  config.quantum = Msec(50);  // quantum >> wall limit: reports still in flight
+  config.quantum = Msec(50);  // quantum >> wall limit: slices still in flight
   Executor executor(scheduler, config);
   for (sched::ThreadId tid = 1; tid <= 3; ++tid) {
     executor.AddTask(tid, 1.0, [] {
@@ -363,10 +365,103 @@ TEST(ExecutorTest, PreemptLatenciesRecorded) {
   executor.Run(Msec(300));
   EXPECT_GT(executor.preempt_latencies().count(), 5u);
   // Cooperative yield happens within one work unit (~20 us), but under
-  // parallel ctest on an oversubscribed host the preempted worker can sit
-  // descheduled for tens of ms before observing the flag — bound the median
-  // well below a quantum-scale pathology without asserting absolute speed.
+  // parallel ctest on an oversubscribed host the dispatcher running the unit
+  // can sit descheduled for tens of ms before the unit returns — bound the
+  // median well below a quantum-scale pathology without asserting absolute
+  // speed.
   EXPECT_LT(executor.preempt_latencies().Percentile(50), 100000.0);
+}
+
+TEST(ExecutorTest, WorkRunsOnDispatcherThreads) {
+  // Tasks are work functions, not threads: every unit runs on one of the
+  // num_cpus dispatcher threads, never on the caller's thread, whether the
+  // task spins or blocks and is woken again.
+  sched::SchedConfig config = Config(2);
+  sched::Sharded<sched::Sfs> scheduler(config);
+  Executor::Config exec_config;
+  exec_config.quantum = Msec(1);
+  Executor executor(scheduler, exec_config);
+
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  const auto record = [&mu, &ids] {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  };
+  for (sched::ThreadId tid = 0; tid < 3; ++tid) {  // hogs
+    executor.AddTask(tid, 1.0 + tid, [record] {
+      record();
+      SpinFor(30);
+      return true;
+    });
+  }
+  for (sched::ThreadId tid = 3; tid < 7; ++tid) {  // blockers
+    executor.AddTask(tid, 1.0, [record]() -> Executor::WorkResult {
+      record();
+      SpinFor(30);
+      return Executor::WorkResult::Block(Usec(500));
+    });
+  }
+  executor.Run(Msec(200));
+
+  EXPECT_GT(executor.wakeups(), 0);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 2u);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(ExecutorTest, OverrunningUnitIsChargedAndPeersKeepDispatching) {
+  // One unit spins 100 ms against a 1 ms quantum.  Preemption is cooperative,
+  // so the unit runs to its end — and is charged in full — while the other
+  // CPU keeps dispatching, and the timer still wakes a blocker homed on the
+  // overrunning CPU through its try-lock (no dispatcher holds a scheduler
+  // lock while a unit runs).
+  //
+  // Placement is deterministic (lightest shard, ties to the lowest id) and
+  // neither shard ever runs dry, so nothing is stolen: the overrunner (tid 0)
+  // and the blocker (tid 2) share shard 0, the peer hog (tid 1) owns shard 1.
+  sched::SchedConfig config = Config(2);
+  sched::Sharded<sched::Sfs> scheduler(config);
+  Executor::Config exec_config;
+  exec_config.quantum = Msec(1);
+  Executor executor(scheduler, exec_config);
+
+  std::atomic<bool> blocker_asleep{false};
+  std::atomic<std::int64_t> peer_units{0};
+  bool overran = false;
+  std::int64_t peer_units_during = 0;
+  std::int64_t wakeups_during = 0;
+  executor.AddTask(0, 1.0, [&] {
+    if (!overran && blocker_asleep.load()) {
+      overran = true;
+      const std::int64_t peer_before = peer_units.load();
+      const std::int64_t wakeups_before = executor.wakeups();
+      SpinFor(100'000);
+      peer_units_during = peer_units.load() - peer_before;
+      wakeups_during = executor.wakeups() - wakeups_before;
+      return true;
+    }
+    SpinFor(50);
+    return true;
+  });
+  executor.AddTask(1, 1.0, [&peer_units] {
+    SpinFor(50);
+    peer_units.fetch_add(1);
+    return true;
+  });
+  executor.AddTask(2, 1.0, [&blocker_asleep]() -> Executor::WorkResult {
+    blocker_asleep.store(false);
+    SpinFor(50);
+    blocker_asleep.store(true);
+    return Executor::WorkResult::Block(Msec(5));
+  });
+  executor.Run(Msec(400));
+
+  ASSERT_TRUE(overran);
+  EXPECT_GE(executor.CpuTime(0), Msec(100));
+  EXPECT_GE(peer_units_during, 10);
+  EXPECT_GE(wakeups_during, 1);
 }
 
 }  // namespace
