@@ -157,10 +157,10 @@ ModeResult RunMode(const ModeSpec& mode, int cpus) {
 // --- wake-path section: the real runtime ----------------------------------------
 //
 // Unlike the protocol harness above, this runs the actual runtime::Executor on
-// a blocking workload: the timer applies each wakeup under a try-locked
-// dispatch lock or pushes it to the home CPU's wait-free mailbox with one
-// targeted kick, and the home dispatcher drains it inside its next
-// dispatch-lock hold (between work units, or at its next pick).
+// a blocking workload: each Block pushes a sleep timer onto its CPU's own
+// heap, and the dispatchers expire due timers at their decision points —
+// their own under the dispatch lock (between work units, or in the pick's
+// hold), a peer's under a try-lock followed by one targeted kick.
 
 struct WakeResult {
   HistogramSnapshot lock_wait;      // per-decision dispatch-lock wait, ns
@@ -187,7 +187,7 @@ WakeResult RunWakePath(int cpus) {
     }
   };
   // One spinner per CPU keeps every shard busy, two blockers per CPU generate
-  // a steady wakeup stream through the timer.
+  // a steady wakeup stream through the per-CPU sleep timers.
   for (ThreadId tid = 0; tid < cpus; ++tid) {
     executor.AddTask(tid, 1.0, [spin] {
       spin(20);
@@ -271,7 +271,7 @@ SFS_EXPERIMENT(abl_lock_contention,
       << "not serialized, while the global lock pins it at 1 and its lock wait\n"
       << "grows with p as every dispatcher convoys behind one holder.\n";
 
-  // --- wake path: targeted parking/mailbox ---------------------------------------
+  // --- wake path: per-CPU timers + targeted parking ------------------------------
   sfs::common::Table wake_table({"p", "wakeups", "apply p99 (us)", "w2d p50 (us)",
                                  "w2d p99 (us)", "lock wait (us)", "kicks/wakeup"});
   for (const int cpus : {2, 8}) {
@@ -305,13 +305,13 @@ SFS_EXPERIMENT(abl_lock_contention,
     reporter.TimingHistogram(prefix + "wake_to_dispatch_ns", result.wake_dispatch);
     reporter.TimingHistogram(prefix + "lock_wait_ns", result.lock_wait);
   }
-  reporter.out() << "\n=== Wake path: targeted parking/mailbox (real runtime::Executor) "
-                    "===\n\n";
+  reporter.out() << "\n=== Wake path: per-CPU timers + targeted parking (real "
+                    "runtime::Executor) ===\n\n";
   wake_table.Print(reporter.out());
   reporter.out()
       << "\nBlocking workload: 1 spinner + 2 blockers per CPU, sharded SFS, 300 ms\n"
       << "wall.  'apply' = timer-due to Wakeup applied; 'w2d' = timer-due to the\n"
       << "woken thread granted a CPU; 'lock wait' = mean dispatch-lock wait per\n"
-      << "decision; 'kicks/wakeup' = parking-slot kicks issued per wakeup (the\n"
-      << "home CPU plus at most one baton pass).\n";
+      << "decision; 'kicks/wakeup' = parking-slot kicks issued per wakeup (one\n"
+      << "for a timer a peer expired, plus at most one baton pass).\n";
 }

@@ -2,10 +2,10 @@
 //
 // Links ONLY the standalone sfs::runtime target (+ the scheduler stack it
 // re-exports).  Runs a blocking workload on sharded SFS through the runtime's
-// targeted wake path: each CPU's dispatcher parks on its own futex-style
-// slot, timer wakeups are routed to the woken thread's home shard through a
-// wait-free mailbox, and each dispatch decision (mailbox drain + pick)
-// happens under one dispatch-lock hold.
+// wake path: a blocking task's sleep timer goes onto its CPU's own heap, the
+// dispatchers expire due timers at their unit boundaries and picks (own
+// timers under the dispatch lock, a peer's under a try-lock plus a kick),
+// and an idle CPU parks on its own futex-style slot until its next timer.
 //
 //   $ ./examples/runtime_quickstart
 //
@@ -49,7 +49,7 @@ int main() {
     });
   }
   // ...plus an interactive task that computes briefly, then blocks on
-  // simulated I/O — exercising timer -> mailbox -> targeted kick -> grant.
+  // simulated I/O — exercising block -> timer heap -> expiry -> grant.
   auto io_rounds = std::make_shared<std::atomic<int>>(0);
   executor.AddTask(4, 2.0, [spin, io_rounds]() -> runtime::Executor::WorkResult {
     spin(std::chrono::microseconds(200));

@@ -106,20 +106,20 @@ void Executor::KickAfterStateChange(sched::CpuId hint) {
 void Executor::StopAll() {
   stop_.store(true);
   KickAllParked();
-  {
-    common::MutexLock lk(timer_mu_);
-  }
-  timer_cv_.NotifyAll();
+}
+
+void Executor::PublishNextDue(Cpu& cpu) {
+  cpu.next_due.store(cpu.timers.empty() ? kNoTimer : WallNs(cpu.timers.front().at),
+                     std::memory_order_relaxed);
 }
 
 bool Executor::ApplyWakeupLocked(sched::CpuId home, sched::ThreadId tid,
                                  Clock::time_point due, std::vector<Tick>& elapsed_scratch,
                                  PreemptPoke* poke) {
   *poke = PreemptPoke{};
-  // The producer validated nothing (the timer holds no scheduler lock when it
-  // routes or try-locks); do it here.  The thread may have exited since
-  // blocking (stale wakeup), and the runnable re-check is defensive against
-  // duplicate deliveries.
+  // Defensive: a timer is pushed and expired under this dispatch lock and a
+  // sleeping thread can neither run nor exit, but a stale wakeup (thread
+  // gone) or a duplicate one (already runnable) must stay harmless.
   if (!scheduler_.Contains(tid) || scheduler_.IsRunnable(tid)) {
     return false;
   }
@@ -162,20 +162,59 @@ bool Executor::ApplyWakeupLocked(sched::CpuId home, sched::ThreadId tid,
   return true;
 }
 
-int Executor::DrainMailboxLocked(sched::CpuId cpu_idx) {
-  Cpu& cpu = *cpus_[static_cast<std::size_t>(cpu_idx)];
-  int woken = 0;
-  cpu.mailbox.DrainAll([&](WakeMsg&& msg) {
+bool Executor::ExpireTimersLocked(sched::CpuId home_idx, Clock::time_point now, Cpu& actor) {
+  Cpu& home = *cpus_[static_cast<std::size_t>(home_idx)];
+  if (home.timers.empty() || home.timers.front().at > now) {
+    return false;
+  }
+  bool woke = false;
+  do {
+    std::pop_heap(home.timers.begin(), home.timers.end(), std::greater<>());
+    const PendingWakeup wake = home.timers.back();
+    home.timers.pop_back();
     PreemptPoke poke;
-    if (!ApplyWakeupLocked(cpu_idx, msg.tid, msg.due, cpu.elapsed_scratch, &poke)) {
-      return;
+    if (ApplyWakeupLocked(home_idx, wake.tid, wake.at, actor.elapsed_scratch, &poke)) {
+      woke = true;
+      if (poke.cpu != sched::kInvalidCpu) {
+        actor.pokes.push_back(poke);
+      }
     }
-    if (poke.cpu != sched::kInvalidCpu) {
-      cpu.pokes.push_back(poke);
+  } while (!home.timers.empty() && home.timers.front().at <= now);
+  PublishNextDue(home);
+  return woke;
+}
+
+bool Executor::ExpirePeerTimers(sched::CpuId cpu_idx, Clock::time_point now) {
+  Cpu& cpu = *cpus_[static_cast<std::size_t>(cpu_idx)];
+  const std::int64_t now_ns = WallNs(now);
+  const std::size_t n = cpus_.size();
+  bool woke = false;
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto peer_idx =
+        static_cast<sched::CpuId>((static_cast<std::size_t>(cpu_idx) + i) % n);
+    Cpu& peer = *cpus_[static_cast<std::size_t>(peer_idx)];
+    if (now_ns < peer.next_due.load(std::memory_order_relaxed)) {
+      continue;
     }
-    ++woken;
-  });
-  return woken;
+    {
+      // TryLock: a dispatcher never waits on a foreign shard, so a lock
+      // holder descheduled by the host cannot convoy it; the peer expires
+      // its own timers at its next decision point instead.
+      auto guard = scheduler_.TryLockDispatch(peer_idx);
+      if (!guard.owns_lock() || !ExpireTimersLocked(peer_idx, now, cpu)) {
+        continue;
+      }
+    }
+    woke = true;
+    ApplyPreemptPokes(cpu);  // guard released above: Cpu::mu is a leaf
+    // The peer may be parked with nothing runnable until now: kick it, then
+    // the usual single-kick fan-out for a busy peer whose queued thread a
+    // parked CPU could steal.
+    peer.park.Kick();
+    kicks_.fetch_add(1, std::memory_order_relaxed);
+    KickAfterStateChange(peer_idx);
+  }
+  return woke;
 }
 
 void Executor::PokePreempt(const PreemptPoke& poke) {
@@ -242,33 +281,26 @@ void Executor::HandleReport(sched::CpuId cpu_idx, const Report& report, bool pre
       break;
     }
     case WorkResult::Kind::kBlock: {
-      {
-        // Sanctioned lifecycle relaxation (scheduler.h): the thread just ran
-        // on this CPU, so this is its home shard and LockDispatch alone
-        // brackets Charge-then-Block atomically against picks and steals (both
-        // lock this shard).  The block record goes to our own CPU ring,
-        // keeping the per-CPU rings single-writer.
-        auto guard = scheduler_.LockDispatch(cpu_idx);
-        scheduler_.Charge(report.tid, report.ran);
-        w->cpu_time += report.ran;
-        scheduler_.Block(report.tid);
-        if (trace_) {
-          trace_->Record(cpu_idx, obs::TraceEventKind::kBlock, WallNs(report.yielded_at),
-                         report.tid, report.block_for * 1000);
-        }
+      // Sanctioned lifecycle relaxation (scheduler.h): the thread just ran
+      // on this CPU, so this is its home shard and LockDispatch alone
+      // brackets Charge-then-Block atomically against picks and steals (both
+      // lock this shard).  The block record goes to our own CPU ring,
+      // keeping the per-CPU rings single-writer.  The same hold guards this
+      // CPU's timer heap; the sleep runs from the instant the task returned
+      // Block(d), not from the end of this bookkeeping.
+      auto guard = scheduler_.LockDispatch(cpu_idx);
+      scheduler_.Charge(report.tid, report.ran);
+      w->cpu_time += report.ran;
+      scheduler_.Block(report.tid);
+      if (trace_) {
+        trace_->Record(cpu_idx, obs::TraceEventKind::kBlock, WallNs(report.yielded_at),
+                       report.tid, report.block_for * 1000);
       }
-      bool nudge_timer = false;
-      {
-        common::MutexLock lk(timer_mu_);
-        const Clock::time_point at = Clock::now() + FromTicks(report.block_for);
-        // The timer parks until the earliest pending deadline; only a new
-        // front-of-queue deadline (or the empty->nonempty edge) moves it.
-        nudge_timer = wake_queue_.empty() || at < wake_queue_.top().at;
-        wake_queue_.push(PendingWakeup{at, report.tid, cpu_idx});
-      }
-      if (nudge_timer) {
-        timer_cv_.NotifyAll();
-      }
+      Cpu& cpu = *cpus_[static_cast<std::size_t>(cpu_idx)];
+      cpu.timers.push_back(
+          PendingWakeup{report.yielded_at + FromTicks(report.block_for), report.tid});
+      std::push_heap(cpu.timers.begin(), cpu.timers.end(), std::greater<>());
+      PublishNextDue(cpu);
       break;
     }
   }
@@ -287,6 +319,10 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     // protocol): any kick landing after this instant cancels the park below,
     // so a wakeup pushed between our empty pick and our park is never lost.
     const common::ParkingSlot::Token park_token = cpu.park.Prepare();
+    if (trace_ == nullptr) {
+      // Before the pick, so a peer's woken thread is already steal-visible.
+      ExpirePeerTimers(cpu_idx, Clock::now());
+    }
     sched::ThreadId tid = sched::kInvalidThread;
     Tick quantum = config_.quantum;
     const Clock::time_point pick_start = Clock::now();
@@ -298,8 +334,8 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
         // Timestamp hint for the scheduler's own steal/rebalance records.
         trace_->PublishNow(WallNs(lock_acquired));
       }
-      // One lock hold per decision: queued wakeups, then the pick.
-      DrainMailboxLocked(cpu_idx);
+      // One lock hold per decision: own due timers, then the pick.
+      ExpireTimersLocked(cpu_idx, lock_acquired, cpu);
       tid = scheduler_.PickNext(cpu_idx);
       if (tid != sched::kInvalidThread) {
         quantum = std::min(quantum, std::max<Tick>(1, scheduler_.QuantumFor(tid)));
@@ -311,12 +347,18 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     lock_wait_hist_->Record(cpu_idx, lock_wait_ns);
 
     if (tid == sched::kInvalidThread) {
-      // Nothing runnable here: park on our own slot.  Every producer that
-      // could create work for us kicks this slot (wakeup routing, baton
-      // passing, shutdown); the bounded deadline is only the
-      // backstop for the advisory parked-flag scan in KickOneParked.
-      const Clock::time_point park_deadline =
+      // Nothing runnable here: park on our own slot until our own earliest
+      // timer at the latest.  Only this dispatcher pushes our timers, so none
+      // can appear while we sleep; every other producer of work for us kicks
+      // this slot (a peer expiring our timers, baton passing, shutdown).
+      // The idle recheck is only the backstop for the advisory parked-flag
+      // scan in KickOneParked.
+      Clock::time_point park_deadline =
           std::min(wall_end_, Clock::now() + FromTicks(idle_recheck_));
+      const std::int64_t next_due = cpu.next_due.load(std::memory_order_relaxed);
+      if (next_due != kNoTimer) {
+        park_deadline = std::min(park_deadline, t0_ + std::chrono::nanoseconds(next_due));
+      }
       cpu.parked.store(true, std::memory_order_seq_cst);
       if (!stop_.load()) {
         cpu.park.ParkUntil(park_token, park_deadline);
@@ -366,10 +408,10 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
     KickAfterStateChange(cpu_idx);
 
     // Run the slice on this thread, one work unit at a time.  The first unit
-    // always runs; between units the dispatcher services its mailbox (a
-    // wakeup routed here becomes runnable now, may poke this very slice, or
-    // is handed to a parked peer) and yields when the preempt flag is set or
-    // the slice deadline has passed — the user-level preemption point.
+    // always runs; between units — the user-level preemption point — the
+    // dispatcher expires due sleep timers (a woken thread becomes runnable
+    // now, may poke this very slice, or is handed to a parked peer) and
+    // yields when the preempt flag is set or the slice deadline has passed.
     const Clock::time_point deadline = std::min(picked + FromTicks(quantum), wall_end_);
     const Clock::time_point start = Clock::now();
     Report report;
@@ -382,19 +424,26 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
         report.yielded_at = Clock::now();
         break;
       }
-      if (!cpu.mailbox.Empty()) {
+      Clock::time_point now = Clock::now();
+      bool woke = false;
+      if (WallNs(now) >= cpu.next_due.load(std::memory_order_relaxed)) {
         {
           auto guard = scheduler_.LockDispatch(cpu_idx);
           if (trace_) {
-            trace_->PublishNow(WallNs(Clock::now()));
+            trace_->PublishNow(WallNs(now));
           }
-          DrainMailboxLocked(cpu_idx);
+          woke = ExpireTimersLocked(cpu_idx, now, cpu);
         }
-        ApplyPreemptPokes(cpu);
+        ApplyPreemptPokes(cpu);  // may set this slice's own preempt flag
         KickAfterStateChange(cpu_idx);
       }
+      if (trace_ == nullptr && ExpirePeerTimers(cpu_idx, now)) {
+        woke = true;
+      }
+      if (woke) {
+        now = Clock::now();  // the yield instant comes after any poke
+      }
       const bool poked = w->preempt.load(std::memory_order_relaxed);
-      const Clock::time_point now = Clock::now();
       if (poked || now >= deadline) {
         report.preempt_observed = true;
         report.yielded_at = now;
@@ -443,88 +492,6 @@ void Executor::DispatcherLoop(sched::CpuId cpu_idx) {
   {
     common::MutexLock lk(cpu.mu);
     SFS_CHECK(cpu.running_tid == sched::kInvalidThread);
-  }
-}
-
-void Executor::TimerLoop() {
-  std::vector<PendingWakeup> due;
-  std::vector<Tick> elapsed;
-  for (;;) {
-    due.clear();
-    {
-      common::MutexLock lk(timer_mu_);
-      for (;;) {
-        if (stop_.load()) {
-          return;
-        }
-        const Clock::time_point now = Clock::now();
-        if (now >= wall_end_) {
-          return;
-        }
-        if (!wake_queue_.empty() && wake_queue_.top().at <= now) {
-          break;
-        }
-        if (wake_queue_.empty()) {
-          // Nothing can come due until a Block enqueues a deadline (which
-          // nudges timer_cv_) or the run ends (StopAll nudges it): park
-          // indefinitely instead of polling.
-          timer_cv_.Wait(timer_mu_);
-        } else {
-          // Copy the deadline out: std::min returns a reference into the
-          // queue's storage, which a concurrent Block push may reallocate
-          // while this thread waits with timer_mu_ released.
-          const Clock::time_point deadline = std::min(wake_queue_.top().at, wall_end_);
-          timer_cv_.WaitUntil(timer_mu_, deadline);
-        }
-      }
-      const Clock::time_point now = Clock::now();
-      while (!wake_queue_.empty() && wake_queue_.top().at <= now) {
-        due.push_back(wake_queue_.top());
-        wake_queue_.pop();
-      }
-    }
-    for (const PendingWakeup& wake : due) {
-      Cpu& home = *cpus_[static_cast<std::size_t>(wake.home)];
-      // Fast path: if the home shard's dispatch lock is free RIGHT NOW, apply
-      // the wakeup here — the thread becomes runnable (pickable and
-      // steal-visible) immediately, instead of after the OS gets around to
-      // scheduling the home dispatcher to drain its mailbox, which on an
-      // oversubscribed host can take a full scheduling round.  TryLock means
-      // a descheduled lock holder can never convoy the timer; the mailbox
-      // below stays the contended-case fallback.  Excluded when tracing
-      // (per-CPU rings are single-writer: only the home dispatcher may write
-      // ring `home`).
-      if (trace_ == nullptr) {
-        PreemptPoke poke;
-        bool applied = false;
-        {
-          auto guard = scheduler_.TryLockDispatch(wake.home);
-          if (guard.owns_lock()) {
-            applied = true;
-            ApplyWakeupLocked(wake.home, wake.tid, wake.at, elapsed, &poke);
-          }
-        }
-        if (applied) {
-          if (poke.tid != sched::kInvalidThread) {
-            PokePreempt(poke);  // guard released above: Cpu::mu is a leaf
-          }
-          // Unconditional home kick (wakeup liveness must not depend on the
-          // advisory parked-flag scan), then the usual single-kick fan-out for
-          // a busy home whose queued thread a parked peer could steal.
-          home.park.Kick();
-          kicks_.fetch_add(1, std::memory_order_relaxed);
-          KickAfterStateChange(wake.home);
-          continue;
-        }
-      }
-      // Contended (or traced) path: route the wakeup to its home CPU — one
-      // wait-free push, one targeted kick.  The home dispatcher applies Wakeup
-      // under its own dispatch lock (mailbox drain), so this thread touches no
-      // scheduler state.
-      home.mailbox.Push(WakeMsg{wake.tid, wake.at});
-      home.park.Kick();
-      kicks_.fetch_add(1, std::memory_order_relaxed);
-    }
   }
 }
 
@@ -578,7 +545,6 @@ Tick Executor::Run(Tick wall_limit) {
     }
   }
 
-  std::thread timer([this] { TimerLoop(); });
   std::vector<std::thread> dispatchers;
   dispatchers.reserve(cpus_.size());
   for (std::size_t c = 0; c < cpus_.size(); ++c) {
@@ -589,8 +555,6 @@ Tick Executor::Run(Tick wall_limit) {
   for (auto& d : dispatchers) {
     d.join();
   }
-  StopAll();
-  timer.join();
 
   for (const auto& cpu : cpus_) {
     for (const double sample : cpu->preempt_latencies.samples()) {

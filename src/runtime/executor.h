@@ -12,9 +12,13 @@
 //     (Section 3.1: quanta on different processors are not synchronized).
 //     A task is a work function, not an OS thread, so at most `num_cpus`
 //     tasks run at once by construction;
-//   * a timer thread delivers simulated-I/O completions: tasks may return
-//     WorkResult::Block(d) to sleep, the scheduler sees Block/Wakeup, and the
-//     runtime stays work-conserving;
+//   * sleep timers belong to the CPUs: tasks may return WorkResult::Block(d)
+//     to sleep on simulated I/O, the scheduler sees Block/Wakeup, and the
+//     runtime stays work-conserving.  A Block pushes its timer onto the
+//     blocking CPU's own timer heap — that CPU is the thread's home while it
+//     sleeps (Scheduler::HomeCpu) — and the dispatchers expire the timers at
+//     their own decision points, as a kernel CPU's timer tick does.  The
+//     runtime's only threads are its dispatchers;
 //   * preemption is cooperative: a task's work function performs a small
 //     unit of work per call, and between units the dispatcher checks the
 //     task's preempt flag and the slice deadline, like a kernel preemption
@@ -24,35 +28,32 @@
 // Wake and dispatch mechanics:
 //
 //   * PARKING — each dispatcher owns a common::ParkingSlot (futex on Linux,
-//     condvar fallback).  An idle CPU parks on its own slot; a kick wakes
-//     exactly one targeted CPU instead of broadcasting through a process-wide
-//     condition variable.  The Prepare-token-before-final-look protocol
-//     (parking.h) makes a kick that races between an empty pick and the park
-//     impossible to lose.
-//   * TRY-LOCK — untraced, the timer applies an expired wakeup itself when
-//     the home shard's dispatch lock is free.  A dispatcher holds no
-//     scheduler lock while a work unit runs, so this is the common path, and
-//     it makes the thread runnable (and possibly preempts, or hands it to a
-//     parked peer) even while its home CPU is mid-unit.
-//   * MAILBOX — otherwise (contended, or tracing on) the timer routes the
-//     wakeup to the woken thread's *home* CPU — the one whose LockDispatch
-//     covers the lifecycle relaxation of the scheduler contract
-//     (Scheduler::HomeCpu) — by pushing a message onto that dispatcher's
-//     wait-free MPSC mailbox (common::MpscMailbox) and kicking its slot; it
-//     never waits on a scheduler lock itself.
-//   * ONE HOLD PER PICK — the home dispatcher drains its mailbox (applying
-//     Wakeup + SuggestPreemption per message) and runs PickNext under one
-//     LockDispatch hold.  Preempt pokes suggested by the drain are applied
-//     after the hold is released (the runtime never holds a dispatch mutex
-//     and a Cpu::mu together — see the lock-order note below).
-//   * A dispatcher mid-slice drains its mailbox between work units, under
-//     LockDispatch, then applies pokes and fans work out as above.  A mailbox
-//     wakeup whose home CPU is in the middle of a unit is therefore applied
-//     when that unit returns — with tracing on, that is every wakeup to a
-//     busy CPU.
+//     condvar fallback).  An idle CPU parks on its own slot until the
+//     earliest of its own next timer, the idle-recheck backstop and the wall
+//     limit; a kick wakes exactly one targeted CPU instead of broadcasting
+//     through a process-wide condition variable.  The
+//     Prepare-token-before-final-look protocol (parking.h) makes a kick that
+//     races between an empty pick and the park impossible to lose.
+//   * OWN TIMERS — a CPU's timer heap is guarded by its LockDispatch, which
+//     the Block that pushes a timer already holds.  The dispatcher expires
+//     its due timers (Wakeup + SuggestPreemption per timer) under the same
+//     hold as its PickNext, and between work units whenever its earliest
+//     timer is due.  A wakeup that should preempt the running slice sets the
+//     slice's own preempt flag, so the flag check that follows yields at that
+//     very unit boundary.  Preempt pokes are applied after the hold is
+//     released (the runtime never holds a dispatch mutex and a Cpu::mu
+//     together — see the lock-order note below).
+//   * PEER TIMERS — untraced, a dispatcher at the same points also expires a
+//     peer CPU's due timers when that peer's dispatch lock is free
+//     (TryLockDispatch, so a dispatcher never waits on a foreign shard), then
+//     kicks the peer.  A dispatcher holds no scheduler lock while a work unit
+//     runs, so a blocker homed on a CPU that is in the middle of a long unit
+//     is still woken by another CPU.  With tracing on only the home
+//     dispatcher applies its wakeups (per-CPU trace rings are single-writer),
+//     so a wakeup homed on a busy CPU waits for that CPU's unit to return.
 //
-// Work conservation with single kicks: every wakeup kicks its home CPU
-// unconditionally; after a successful pick, the dispatcher passes the baton —
+// Work conservation with single kicks: a wakeup applied for a peer kicks that
+// peer; after a successful pick, the dispatcher passes the baton —
 // if runnable work remains beyond what is running, it kicks one more parked
 // CPU (round-robin) so queued work fans out one CPU at a time instead of
 // waking the whole herd.  A parked dispatcher also re-checks on a bounded
@@ -90,10 +91,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
-#include "src/common/mpsc_mailbox.h"
 #include "src/common/mutex.h"
 #include "src/common/parking.h"
 #include "src/common/stats.h"
@@ -112,10 +111,10 @@ class Executor {
     Tick quantum = Msec(20);
 
     // Test seam: how long a parked dispatcher sleeps before re-checking for
-    // work on its own (the backstop for the single-kick heuristics above).
-    // 0 = use `quantum`.  Set only by
-    // RuntimeTest.TargetedKickRedispatchesParkedCpus, which lengthens it so
-    // that only a kick can wake a parked CPU promptly.
+    // work on its own (the backstop for the single-kick heuristics above;
+    // its own sleep timers end a park earlier).  0 = use `quantum`.  Set only
+    // by RuntimeTest.TargetedKickRedispatchesParkedCpus, which lengthens it
+    // so that only a timer or a kick can wake a parked CPU promptly.
     Tick idle_recheck = 0;
 
     // Test seam: force the parking backend; kAuto picks futex on Linux.  Set
@@ -139,7 +138,8 @@ class Executor {
   };
 
   // Outcome of one work unit: keep running, finish, or sleep on simulated I/O
-  // for `block_for` ticks (the timer thread wakes the task afterwards).
+  // for `block_for` ticks, counted from the instant the unit returned (a
+  // dispatcher expires the sleep timer and wakes the task afterwards).
   struct WorkResult {
     enum class Kind { kContinue, kDone, kBlock };
 
@@ -188,12 +188,12 @@ class Executor {
   const common::SampleSet& preempt_latencies() const { return preempt_latencies_; }
 
   // Latency of one scheduling decision in NANOSECONDS: acquiring the dispatch
-  // lock (including any contention with other CPUs' dispatchers) plus the
-  // mailbox drain plus PickNext.  Idle picks (nothing runnable) are not
-  // sampled.  Accumulated in a bounded per-CPU obs::LogHistogram rather than
-  // an unbounded sample vector, so arbitrarily long runs cost constant
-  // memory; the snapshot keeps the count/mean/min/max/Percentile shape of the
-  // SampleSet it replaced.
+  // lock (including any contention with other CPUs' dispatchers) plus
+  // expiring this CPU's due sleep timers plus PickNext.  Idle picks (nothing
+  // runnable) are not sampled.  Accumulated in a bounded per-CPU
+  // obs::LogHistogram rather than an unbounded sample vector, so arbitrarily
+  // long runs cost constant memory; the snapshot keeps the
+  // count/mean/min/max/Percentile shape of the SampleSet it replaced.
   obs::HistogramSnapshot dispatch_latencies() const { return dispatch_hist_->Snapshot(); }
 
   // Time spent waiting to acquire the dispatch lock alone (nanoseconds); the
@@ -204,17 +204,17 @@ class Executor {
   // Wall length of each completed run slice (nanoseconds, grant to yield).
   obs::HistogramSnapshot run_interval_lengths() const { return run_hist_->Snapshot(); }
 
-  // Timer-due instant -> Scheduler::Wakeup applied (nanoseconds): the wake
-  // path's queueing delay through the timer's try-lock or mailbox + kick +
-  // drain.
+  // Timer-due instant -> Scheduler::Wakeup applied (nanoseconds): how long a
+  // due sleep timer waits for a dispatcher to reach a decision point (a unit
+  // boundary, a pick, or the end of a park) and expire it.
   obs::HistogramSnapshot wake_apply_latencies() const {
     return wake_apply_hist_->Snapshot();
   }
 
   // Timer-due instant -> the woken thread actually granted a CPU
-  // (nanoseconds): the end-to-end wake-to-dispatch latency the ISSUE gates
-  // on.  One sample per wakeup, recorded at the grant that first runs the
-  // thread again.
+  // (nanoseconds): the runtime's end-to-end wake-to-dispatch latency.  One
+  // sample per wakeup, recorded at the grant that first runs the thread
+  // again.
   obs::HistogramSnapshot wake_to_dispatch_latencies() const {
     return wake_dispatch_hist_->Snapshot();
   }
@@ -232,6 +232,7 @@ class Executor {
 
  private:
   using Clock = std::chrono::steady_clock;
+  static constexpr std::int64_t kNoTimer = INT64_MAX;
 
   struct Report {
     sched::ThreadId tid = sched::kInvalidThread;
@@ -259,13 +260,15 @@ class Executor {
     Tick cpu_time = 0;  // written under the dispatch/lifecycle lock of the charging CPU
   };
 
-  // A wakeup routed to its home CPU's mailbox.
-  struct WakeMsg {
-    sched::ThreadId tid = sched::kInvalidThread;
-    Clock::time_point due{};  // the timer deadline that expired
+  // A sleep timer: the thread blocked on the CPU whose heap holds it (its
+  // home while blocked — a blocked thread cannot migrate) and wakes at `at`.
+  struct PendingWakeup {
+    Clock::time_point at;
+    sched::ThreadId tid;
+    bool operator>(const PendingWakeup& other) const { return at > other.at; }
   };
 
-  // A preemption suggested by a mailbox drain, applied after the dispatch
+  // A preemption suggested by a timer expiry, applied after the dispatch
   // guard is released (never hold a dispatch mutex and a Cpu::mu together).
   struct PreemptPoke {
     sched::CpuId cpu = sched::kInvalidCpu;
@@ -273,7 +276,8 @@ class Executor {
   };
 
   // Per-processor dispatcher state.  mu guards the running slice's identity
-  // against preempt pokes; park/mailbox carry wakeups in.
+  // against preempt pokes; park carries kicks in; timers holds the sleeps of
+  // threads that blocked here.
   struct Cpu {
     common::Mutex mu;
     sched::ThreadId running_tid SFS_GUARDED_BY(mu) = sched::kInvalidThread;
@@ -285,10 +289,14 @@ class Executor {
     // True only while the owning dispatcher is inside ParkUntil; targeted
     // kicks scan these flags to pick ONE sleeping CPU instead of waking all.
     std::atomic<bool> parked{false};
-    // Wakeups (and future cross-CPU hints) bound for this CPU; producers are
-    // the timer (and potentially peers), consumer is this CPU's dispatcher,
-    // which drains under its own LockDispatch hold.
-    common::MpscMailbox<WakeMsg> mailbox;
+    // Sleep timers of the threads that blocked on this CPU, a min-heap on
+    // `at` (std::greater).  Guarded by this CPU's LockDispatch: only the
+    // owning dispatcher pushes (in HandleReport's Block), and whoever holds
+    // the lock expires.
+    std::vector<PendingWakeup> timers;
+    // Wall-ns (trace epoch) of timers.front(), kNoTimer when empty; written
+    // under the same lock, read lock-free at preemption points and by peers.
+    std::atomic<std::int64_t> next_due{kNoTimer};
 
     // Grant instant in ticks since run start, for the elapsed[] vector handed
     // to SuggestPreemption; advisory, hence lock-free.
@@ -303,33 +311,27 @@ class Executor {
     // histograms, which are per-CPU by construction.)
     common::SampleSet preempt_latencies;
 
-    // Drain scratch (own dispatcher only): pokes collected under the dispatch
-    // guard, applied after it; elapsed[] reused across drains.
+    // Expiry scratch (own dispatcher only): pokes collected under a dispatch
+    // guard, applied after it; elapsed[] reused across expiries.
     std::vector<PreemptPoke> pokes;
     std::vector<Tick> elapsed_scratch;
 
     explicit Cpu(common::ParkingSlot::Backend backend) : park(backend) {}
   };
 
-  struct PendingWakeup {
-    Clock::time_point at;
-    sched::ThreadId tid;
-    // The CPU that charged the Block — the thread's home while blocked (a
-    // blocked thread cannot migrate), recorded here so the timer can route
-    // the wakeup without taking any scheduler lock.
-    sched::CpuId home;
-    bool operator>(const PendingWakeup& other) const { return at > other.at; }
-  };
-
   void DispatcherLoop(sched::CpuId cpu);
-  void TimerLoop();
   void HandleReport(sched::CpuId cpu, const Report& report, bool preempt_sent,
                     Clock::time_point preempt_sent_at);
 
-  // Applies every queued wakeup for `cpu`: Wakeup + wake bookkeeping +
-  // SuggestPreemption per message, pokes parked into cpu.pokes.  Caller holds
-  // LockDispatch(cpu).  Returns the number of threads woken.
-  int DrainMailboxLocked(sched::CpuId cpu);
+  // Expires home's timers due by `now`: ApplyWakeupLocked per timer, pokes
+  // parked into actor.pokes (actor = the calling dispatcher's Cpu), and
+  // home's next_due republished.  Caller holds LockDispatch(home).  Returns
+  // true if any timer expired.
+  bool ExpireTimersLocked(sched::CpuId home, Clock::time_point now, Cpu& actor);
+  // Untraced only: expires every peer's due timers whose dispatch lock is
+  // free, then applies the pokes and kicks that peer.  Caller holds no
+  // scheduler lock.  Returns true if any timer expired.
+  bool ExpirePeerTimers(sched::CpuId cpu, Clock::time_point now);
   // Applies ONE wakeup for a thread homed on `home`; caller holds
   // LockDispatch(home).  Stale wakeups (thread exited, or already runnable
   // from a duplicate delivery) return false untouched.  *poke receives any
@@ -355,6 +357,9 @@ class Executor {
   void KickAfterStateChange(sched::CpuId hint);
 
   void StopAll();
+  // Republishes cpu.next_due from its heap; caller holds that CPU's
+  // LockDispatch.
+  void PublishNextDue(Cpu& cpu);
 
   Worker& WorkerByTid(sched::ThreadId tid) {
     return *worker_by_tid_[static_cast<std::size_t>(tid)];
@@ -393,14 +398,6 @@ class Executor {
   // compares it with scheduler_.runnable_count() (which counts running
   // threads too) to estimate queued-but-not-running work.
   std::atomic<int> running_cpus_{0};
-
-  // Sleeping tasks, ordered by wake time; drained by the timer thread, which
-  // parks until the earliest pending deadline (indefinitely when empty) and
-  // is nudged only when a new deadline becomes the earliest.
-  common::Mutex timer_mu_;
-  common::CondVar timer_cv_;
-  std::priority_queue<PendingWakeup, std::vector<PendingWakeup>, std::greater<>>
-      wake_queue_ SFS_GUARDED_BY(timer_mu_);
 
   // Merged from the per-CPU sample sets after the dispatchers join.
   common::SampleSet preempt_latencies_;

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -283,8 +284,8 @@ TEST(ExecutorTest, DispatchLatenciesRecorded) {
 
 TEST(ExecutorTest, TracedMultiDispatcherStress) {
   // The MultiDispatcherStressSharded workload with a wall-clock obs::Trace
-  // and a shared metrics registry attached: four dispatcher threads plus the
-  // timer thread record concurrently into their own rings while this thread
+  // and a shared metrics registry attached: four dispatcher threads record
+  // concurrently into their own rings while this thread
   // snapshots the histograms mid-run.  Run under TSan in CI — this is the
   // data-race proof for the single-writer ring contract.  Ring capacity is
   // deliberately tiny so the wraparound path runs concurrently too.
@@ -414,9 +415,9 @@ TEST(ExecutorTest, WorkRunsOnDispatcherThreads) {
 TEST(ExecutorTest, OverrunningUnitIsChargedAndPeersKeepDispatching) {
   // One unit spins 100 ms against a 1 ms quantum.  Preemption is cooperative,
   // so the unit runs to its end — and is charged in full — while the other
-  // CPU keeps dispatching, and the timer still wakes a blocker homed on the
-  // overrunning CPU through its try-lock (no dispatcher holds a scheduler
-  // lock while a unit runs).
+  // CPU keeps dispatching, and the peer dispatcher still wakes a blocker
+  // homed on the overrunning CPU by expiring its timer under a try-lock (no
+  // dispatcher holds a scheduler lock while a unit runs).
   //
   // Placement is deterministic (lightest shard, ties to the lowest id) and
   // neither shard ever runs dry, so nothing is stolen: the overrunner (tid 0)
@@ -462,6 +463,97 @@ TEST(ExecutorTest, OverrunningUnitIsChargedAndPeersKeepDispatching) {
   EXPECT_GE(executor.CpuTime(0), Msec(100));
   EXPECT_GE(peer_units_during, 10);
   EXPECT_GE(wakeups_during, 1);
+}
+
+#ifdef __linux__
+// The process's live OS threads: the entries of /proc/self/task.
+int CountOwnThreads() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+#endif
+
+TEST(ExecutorTest, RunStartsOnlyDispatcherThreads) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#else
+  // The dispatchers expire the sleep timers themselves, so even a run whose
+  // tasks block and wake adds exactly num_cpus threads to the process.
+  sched::SchedConfig config = Config(2);
+  sched::Sharded<sched::Sfs> scheduler(config);
+  Executor::Config exec_config;
+  exec_config.quantum = Msec(1);
+  Executor executor(scheduler, exec_config);
+
+  std::atomic<int> most_threads{0};
+  const auto sample = [&most_threads] {
+    const int n = CountOwnThreads();
+    int seen = most_threads.load();
+    while (n > seen && !most_threads.compare_exchange_weak(seen, n)) {
+    }
+  };
+  for (sched::ThreadId tid = 0; tid < 2; ++tid) {  // hogs
+    executor.AddTask(tid, 1.0 + tid, [sample] {
+      sample();
+      SpinFor(30);
+      return true;
+    });
+  }
+  for (sched::ThreadId tid = 2; tid < 6; ++tid) {  // blockers
+    executor.AddTask(tid, 1.0, [sample]() -> Executor::WorkResult {
+      sample();
+      SpinFor(30);
+      return Executor::WorkResult::Block(Usec(300));
+    });
+  }
+  // A sanitizer runtime may start a helper thread with the process's first
+  // thread creation; create and join one thread so `before` counts it.
+  std::thread([] {}).join();
+  const int before = CountOwnThreads();
+  executor.Run(Msec(100));
+
+  EXPECT_GT(executor.wakeups(), 0);
+  EXPECT_GT(most_threads.load(), before);  // sampled while the dispatchers ran
+  EXPECT_LE(most_threads.load(), before + config.num_cpus);
+#endif
+}
+
+TEST(ExecutorTest, WakeupServedAtNextUnitBoundary) {
+  // One CPU with the default 20 ms quantum, a hog in 50 us units and a
+  // blocker that sleeps 1 ms twenty times.  Each expired sleep preempts the
+  // hog at its next unit boundary, so the blocker waits about one unit; a
+  // runtime that served timers only at slice ends would make it wait for
+  // most of a quantum.  The bound is generous for loaded CI hosts.
+  sched::Sfs scheduler(Config(1));
+  Executor::Config exec_config;
+  Executor executor(scheduler, exec_config);
+
+  constexpr int kSleeps = 20;
+  std::atomic<bool> blocker_done{false};
+  executor.AddTask(0, 1.0, [&blocker_done] {
+    SpinFor(50);
+    return !blocker_done.load();
+  });
+  auto sleeps_left = std::make_shared<std::atomic<int>>(kSleeps);
+  executor.AddTask(1, 1.0, [sleeps_left, &blocker_done]() -> Executor::WorkResult {
+    SpinFor(20);
+    if (sleeps_left->fetch_sub(1) <= 0) {
+      blocker_done.store(true);
+      return Executor::WorkResult::Done();
+    }
+    return Executor::WorkResult::Block(Msec(1));
+  });
+  executor.Run(Sec(10));
+
+  ASSERT_TRUE(blocker_done.load());
+  EXPECT_EQ(executor.wakeups(), kSleeps);
+  const obs::HistogramSnapshot wake_to_run = executor.wake_to_dispatch_latencies();
+  ASSERT_GE(wake_to_run.count(), static_cast<std::uint64_t>(kSleeps));
+  EXPECT_LT(wake_to_run.Percentile(50), static_cast<double>(exec_config.quantum) * 1000 / 4);
 }
 
 }  // namespace

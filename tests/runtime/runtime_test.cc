@@ -1,7 +1,7 @@
-// sfs::runtime tests: the targeted parking/mailbox wake path, both parking
-// backends, and the wake-latency instrumentation.  The mailbox-stress cases
-// double as the TSan coverage of the wake path (CI runs this suite under
-// ThreadSanitizer).
+// sfs::runtime tests: the wake path (per-CPU sleep timers expired by the
+// dispatchers, targeted parking and kicks), both parking backends, and the
+// wake-latency instrumentation.  The timer-wake stress case doubles as the
+// TSan coverage of the wake path (CI runs this suite under ThreadSanitizer).
 
 #include "src/runtime/executor.h"
 
@@ -94,15 +94,16 @@ TEST(RuntimeTest, CondVarParkingBackendWorks) {
   EXPECT_GE(stats.wakeups, 4);
 }
 
-// Work conservation through the targeted single-kick path: one blocked thread
-// on an otherwise idle machine must be re-dispatched promptly after its wake
-// deadline, with every dispatcher parked (the kick, not the idle-recheck
-// backstop, must deliver it — the generous bound still catches a lost kick).
+// The idle wake path: one blocked thread on an otherwise idle machine must be
+// re-dispatched promptly after its wake deadline, with every dispatcher
+// parked.  The home CPU's own park deadline (its earliest sleep timer), not
+// the idle-recheck backstop, must deliver the wakeup — the generous bound
+// still catches a park that ignores its timers.
 TEST(RuntimeTest, TargetedKickRedispatchesParkedCpus) {
   sched::Sharded<sched::Sfs> scheduler(Config(4));
   Executor::Config config;
   config.quantum = Msec(5);
-  config.idle_recheck = Msec(500);  // so only a kick can wake a parked CPU fast
+  config.idle_recheck = Msec(500);  // so only a timer or a kick wakes a CPU fast
   Executor executor(scheduler, config);
   std::atomic<int> rounds{5};
   executor.AddTask(7, 1.0, [&rounds]() -> Executor::WorkResult {
@@ -116,15 +117,15 @@ TEST(RuntimeTest, TargetedKickRedispatchesParkedCpus) {
   executor.Run(Sec(10));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   // 4 blocks x 1ms sleep + work; anywhere near 500ms means a wakeup waited
-  // for the idle-recheck backstop instead of the targeted kick.
+  // for the idle-recheck backstop instead of the home's timer deadline.
   EXPECT_LT(elapsed, std::chrono::milliseconds(400));
   EXPECT_EQ(executor.wakeups(), 4);
 }
 
-// Mailbox wake-path stress for TSan: many short blockers hammering the timer
-// -> mailbox -> drain -> grant pipeline across shards, concurrently with
-// spinners being preempted.
-TEST(RuntimeTest, MailboxWakeStress) {
+// Wake-path stress for TSan: many short blockers hammering the block -> timer
+// heap -> expiry (own or a peer's try-lock) -> grant pipeline across shards,
+// concurrently with spinners being preempted.
+TEST(RuntimeTest, TimerWakeStress) {
   sched::Sharded<sched::Sfs> scheduler(Config(4));
   Executor::Config config;
   config.quantum = Msec(1);
