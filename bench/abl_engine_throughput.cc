@@ -16,12 +16,9 @@
 // SFS_ENGINE_THROUGHPUT_MAX_THREADS caps the thread axis (CI smoke runs a
 // reduced matrix); unset runs the full sweep.
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "src/common/assert.h"
 #include "src/common/fingerprint.h"
 #include "src/common/table.h"
 #include "src/eval/scenarios.h"
@@ -106,134 +103,4 @@ SFS_EXPERIMENT(abl_engine_throughput,
                  << "(hash-map task lookup, per-wakeup scratch allocation, binary-heap event\n"
                  << "queue) measured ~1.4x slower at t=10k on this workload — see DESIGN.md.\n";
   reporter.Set("rows", std::move(rows));
-}
-
-// Ablation A13 (DESIGN.md §10): the same sweep under the multi-worker
-// sim::Engine over a *partitioned* sharded-SFS (stealing/rebalancing/coupling
-// off, tasks home-hinted tid % p), where the engine is exact at any worker
-// count: each cell runs the engine with one worker (the serial oracle) and
-// with W = min(4, p) workers over the identical workload and CHECK-asserts
-// byte-identical per-group fingerprints.  The JSON keeps the rows' historical
-// engine names: "serial_sharded" is W = 1, "parallel_wN" is W = N.  Two big
-// cells extend the axes — t=100k x p=64 (oracle + parallel) and t=1M x
-// p=1024 (parallel-only, shorter horizon) —
-// so the engine's headline scale claim is measured, not asserted.  Both are
-// gated behind the same SFS_ENGINE_THROUGHPUT_MAX_THREADS cap as A12's
-// thread axis.  Wall-clock speedup depends on host cores; per-group
-// determinism does not, so the JSON document is rerun-comparable anywhere.
-SFS_EXPERIMENT(abl_parallel_engine,
-               .description =
-                   "Ablation A13: parallel sharded engine vs serial oracle, per-group exact",
-               .schedulers = {"sharded-sfs"},
-               .repetitions = 1,
-               .warmup = 0) {
-  using sfs::common::Table;
-  using sfs::harness::JsonValue;
-
-  const int max_threads = MaxThreads();
-  const int thread_sizes[] = {100, 1000, 10000};
-  const int cpu_sizes[] = {2, 16, 64};
-  const sfs::Tick horizon = sfs::Sec(30);
-
-  reporter.out() << "=== Ablation A13: parallel engine, partitioned sharded-SFS, W = min(4, p) ===\n"
-                 << "Per-group schedule/lifecycle fingerprints must match the serial oracle\n"
-                 << "byte-for-byte; 'mailed' counts cross-worker mailbox wakeups (0 when\n"
-                 << "partitioned).  Speedup is wall-clock and host-core dependent.\n\n";
-
-  struct ParCell {
-    int threads;
-    int cpus;
-    sfs::Tick horizon;
-    bool oracle;  // run the serial oracle and assert per-group identity
-  };
-  std::vector<ParCell> par_cells;
-  for (const int threads : thread_sizes) {
-    for (const int cpus : cpu_sizes) {
-      par_cells.push_back({threads, cpus, horizon, true});
-    }
-  }
-  par_cells.push_back({100000, 64, sfs::Sec(10), true});
-  par_cells.push_back({1000000, 1024, sfs::Sec(5), false});
-
-  Table par_table({"threads", "cpus", "W", "events", "epochs", "mailed", "identical",
-                   "serial (ns/ev)", "parallel (ns/ev)", "speedup"});
-  JsonValue par_rows = JsonValue::Array();
-  bool all_groups_identical = true;
-  for (const ParCell& cell : par_cells) {
-    if (cell.threads > max_threads) {
-      reporter.out() << "(parallel t=" << cell.threads
-                     << " skipped: SFS_ENGINE_THROUGHPUT_MAX_THREADS=" << max_threads << ")\n";
-      continue;
-    }
-    const int workers = std::min(4, cell.cpus);
-    const auto par = sfs::eval::RunParallelEngineThroughput(
-        workers, workers, cell.threads, cell.cpus, cell.horizon, reporter.seed());
-
-    const std::string suffix =
-        "/t" + std::to_string(cell.threads) + "_p" + std::to_string(cell.cpus);
-    auto add_row = [&](const char* engine_name, const sfs::eval::ParallelEngineThroughputResult& r) {
-      JsonValue entry = JsonValue::Object();
-      entry.Set("threads", JsonValue(std::int64_t{cell.threads}));
-      entry.Set("cpus", JsonValue(std::int64_t{cell.cpus}));
-      entry.Set("workers", JsonValue(std::int64_t{workers}));
-      entry.Set("engine", JsonValue(engine_name));
-      entry.Set("events", JsonValue(r.events));
-      entry.Set("decisions", JsonValue(r.decisions));
-      entry.Set("preemptions", JsonValue(r.preemptions));
-      entry.Set("mailed_wakeups", JsonValue(r.mailed_wakeups));
-      entry.Set("epochs", JsonValue(r.epochs));
-      // One combined fingerprint per stream: groups mixed in group order, so
-      // rerun comparisons need a single stable hex string per cell.
-      sfs::common::Fnv1a sched_fp;
-      for (const auto fp : r.group_schedule_fingerprints) {
-        sched_fp.Mix(fp);
-      }
-      sfs::common::Fnv1a life_fp;
-      for (const auto fp : r.group_lifecycle_fingerprints) {
-        life_fp.Mix(fp);
-      }
-      entry.Set("schedule_fingerprint", JsonValue(sfs::common::FingerprintHex(sched_fp.value())));
-      entry.Set("lifecycle_fingerprint", JsonValue(sfs::common::FingerprintHex(life_fp.value())));
-      par_rows.Push(std::move(entry));
-      reporter.Throughput(std::string(engine_name) + suffix, r.events, r.wall_ns);
-    };
-
-    bool identical = true;
-    double serial_ns = 0.0;
-    if (cell.oracle) {
-      const auto oracle = sfs::eval::RunParallelEngineThroughput(
-          /*workers=*/1, workers, cell.threads, cell.cpus, cell.horizon, reporter.seed());
-      identical = oracle.group_schedule_fingerprints == par.group_schedule_fingerprints &&
-                  oracle.group_lifecycle_fingerprints == par.group_lifecycle_fingerprints &&
-                  oracle.events == par.events && oracle.decisions == par.decisions &&
-                  oracle.preemptions == par.preemptions;
-      all_groups_identical = all_groups_identical && identical;
-      serial_ns =
-          oracle.events > 0 ? oracle.wall_ns / static_cast<double>(oracle.events) : 0.0;
-      add_row("serial_sharded", oracle);
-    }
-    const double par_ns =
-        par.events > 0 ? par.wall_ns / static_cast<double>(par.events) : 0.0;
-    add_row(("parallel_w" + std::to_string(workers)).c_str(), par);
-
-    par_table.AddRow({Table::Cell(std::int64_t{cell.threads}), Table::Cell(std::int64_t{cell.cpus}),
-                      Table::Cell(std::int64_t{workers}), Table::Cell(par.events),
-                      Table::Cell(par.epochs), Table::Cell(par.mailed_wakeups),
-                      cell.oracle ? (identical ? "yes" : "NO") : "n/a",
-                      Table::Cell(serial_ns, 0), Table::Cell(par_ns, 0),
-                      Table::Cell(par_ns > 0.0 && serial_ns > 0.0 ? serial_ns / par_ns : 0.0, 2)});
-
-    // The exactness contract: partitioned parallel runs reproduce the serial
-    // oracle's per-group schedules byte-for-byte, at any worker count.
-    SFS_CHECK(identical);
-  }
-  par_table.Print(reporter.out());
-  reporter.out() << "\nExpected: 'identical' in every oracle cell regardless of host cores.\n"
-                 << "Speedup > 1 requires real cores for the workers (single-core hosts pay\n"
-                 << "the epoch-barrier and locking overhead with no parallelism to show for\n"
-                 << "it; that overhead is the honest cost of the machinery and shrinks as t\n"
-                 << "grows and barrier crossings amortize over more per-epoch events).\n";
-  reporter.Set("parallel_rows", std::move(par_rows));
-  reporter.Metric("parallel_groups_identical",
-                  all_groups_identical ? std::int64_t{1} : std::int64_t{0});
 }

@@ -372,116 +372,6 @@ EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
   return result;
 }
 
-ParallelEngineThroughputResult RunParallelEngineThroughput(int workers, int groups, int threads,
-                                                           int cpus, Tick horizon,
-                                                           std::uint64_t seed) {
-  SFS_CHECK(threads >= 1);
-  SFS_CHECK(groups >= 1 && groups <= cpus);
-  SFS_CHECK(workers == 1 || workers == groups);
-
-  SchedConfig config = BaseConfig(cpus, kDefaultQuantum, /*readjust=*/true);
-  // Partitioned sharding (DESIGN.md §10): stealing, rebalancing and virtual-
-  // time coupling all off, and every task home-hinted below.  This is the
-  // configuration under which the multi-worker engine is *exact*, so
-  // per-group fingerprints are comparable across worker counts.
-  config.shard_steal = sched::ShardStealPolicy::kNone;
-  config.shard_rebalance_period = 0;
-  config.shard_coupling = 0.0;
-  std::string error;
-  auto scheduler = sched::MakeScheduler("sharded-sfs", config, &error);
-  if (scheduler == nullptr) {
-    std::fprintf(stderr, "RunParallelEngineThroughput: %s\n", error.c_str());
-    SFS_CHECK(scheduler != nullptr);
-  }
-
-  // Worker g owns CPUs [(g*cpus)/groups, ((g+1)*cpus)/groups) — this is the
-  // inverse map, matching sim::Engine's split exactly.
-  auto group_of_cpu = [groups, cpus](std::int64_t cpu) {
-    return static_cast<std::size_t>(((cpu + 1) * groups - 1) / cpus);
-  };
-
-  std::vector<common::Fnv1a> run_fps(static_cast<std::size_t>(groups));
-  std::vector<common::Fnv1a> life_fps(static_cast<std::size_t>(groups));
-
-  // The RunEngineThroughput recipe (same seed stream, same tids, same
-  // parameters) with one addition: a home hint pinning each task to shard
-  // tid % cpus, which keeps the workload partitioned.
-  common::Rng rng(seed);
-  const int hogs = std::min({cpus, 2, threads});
-  std::vector<std::pair<Tick, std::unique_ptr<sim::Task>>> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(threads));
-  ThreadId next_tid = 1;
-  for (int i = 0; i < hogs; ++i) {
-    arrivals.emplace_back(0, workload::MakeInf(next_tid++,
-                                               static_cast<double>(rng.UniformInt(1, 20)),
-                                               "hog"));
-  }
-  for (int i = hogs; i < threads; ++i) {
-    workload::Interact::Params params;
-    params.mean_think = Sec(2) + Msec(rng.UniformInt(0, 6000));
-    params.burst = Usec(200 + 100 * rng.UniformInt(0, 6));
-    params.seed = seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(next_tid));
-    arrivals.emplace_back(Msec(rng.UniformInt(0, 2000)),
-                          workload::MakeInteract(next_tid++,
-                                                 static_cast<double>(rng.UniformInt(1, 5)),
-                                                 params, nullptr, "sleeper"));
-  }
-  for (auto& [at, task] : arrivals) {
-    task->set_home_cpu(static_cast<sched::CpuId>(task->tid() % cpus));
-  }
-
-  ParallelEngineThroughputResult result;
-  result.group_schedule_fingerprints.resize(static_cast<std::size_t>(groups));
-  result.group_lifecycle_fingerprints.resize(static_cast<std::size_t>(groups));
-
-  sim::EngineConfig engine_config;
-  engine_config.workers = workers;
-  sim::Engine engine(*scheduler, engine_config);
-  engine.ReserveTasks(static_cast<std::size_t>(threads) + 4);
-  // Run intervals key on the CPU they happened on; lifecycle events key on the
-  // task's home hint (where the partitioned scheduler placed it).  Under
-  // partitioning a group's events all come from the worker owning it (tasks
-  // never leave their home group), so each Fnv1a accumulator has a single
-  // writer — no locks needed.
-  engine.SetRunIntervalHook(
-      [&run_fps, group_of_cpu](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
-        common::Fnv1a& fp = run_fps[group_of_cpu(cpu)];
-        fp.Mix(static_cast<std::uint64_t>(start));
-        fp.Mix(static_cast<std::uint64_t>(len));
-        fp.Mix(static_cast<std::uint64_t>(cpu));
-        fp.Mix(static_cast<std::uint64_t>(tid));
-      });
-  engine.SetSchedEventHook(
-      [&life_fps, group_of_cpu](sim::SchedEvent event, const sim::Task& task, Tick now) {
-        common::Fnv1a& fp = life_fps[group_of_cpu(task.home_cpu())];
-        fp.Mix(static_cast<std::uint64_t>(event));
-        fp.Mix(static_cast<std::uint64_t>(task.tid()));
-        fp.Mix(static_cast<std::uint64_t>(now));
-      });
-  for (auto& [at, task] : arrivals) {
-    engine.AddTaskAt(at, std::move(task));
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  engine.RunUntil(horizon);
-  result.wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
-  result.events = engine.events_processed();
-  result.decisions = engine.dispatches();
-  result.preemptions = engine.preemptions();
-  result.mailed_wakeups = engine.mailed_wakeups();
-  result.epochs = engine.epochs();
-
-  for (int g = 0; g < groups; ++g) {
-    result.group_schedule_fingerprints[static_cast<std::size_t>(g)] =
-        run_fps[static_cast<std::size_t>(g)].value();
-    result.group_lifecycle_fingerprints[static_cast<std::size_t>(g)] =
-        life_fps[static_cast<std::size_t>(g)].value();
-  }
-  return result;
-}
-
 ShardedFairnessResult RunShardedFairness(std::string_view policy,
                                          const sched::SchedConfig& config, int threads,
                                          Tick horizon, std::uint64_t seed,

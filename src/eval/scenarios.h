@@ -166,36 +166,6 @@ EngineThroughputResult RunEngineThroughput(int threads, int cpus, Tick horizon,
                                            std::uint64_t seed, const ObsSinks& sinks = {});
 
 // ---------------------------------------------------------------------------
-// Parallel-engine throughput (DESIGN.md §10, experiment A13): the same
-// hogs-plus-sleepers workload as RunEngineThroughput, but home-hinted
-// (tid % cpus) onto a *partitioned* sharded-SFS scheduler (stealing off,
-// rebalancing off, coupling 0) and driven by sim::Engine with `workers`
-// simulation workers.  Partitioning makes the schedule a disjoint union of
-// per-shard-group subproblems, so fingerprints are kept per group (group g =
-// the CPUs worker g owns under `groups` workers): byte-equal group vectors
-// across worker counts — including the single-worker oracle — are the
-// multi-worker engine's exactness contract, at any level of real
-// parallelism.  Everything except wall_ns is a pure function of (groups,
-// threads, cpus, horizon, seed).
-struct ParallelEngineThroughputResult {
-  std::int64_t events = 0;     // events popped over the horizon (all workers)
-  std::int64_t decisions = 0;  // engine dispatches over the horizon
-  std::int64_t preemptions = 0;
-  std::int64_t mailed_wakeups = 0;  // cross-worker mailbox deliveries (0 here)
-  std::int64_t epochs = 0;          // barriers crossed (0 at workers == 1)
-  // FNV-1a per shard group, indexed by group id; sized `groups`.
-  std::vector<std::uint64_t> group_schedule_fingerprints;
-  std::vector<std::uint64_t> group_lifecycle_fingerprints;
-  double wall_ns = 0.0;  // wall clock; Reporter::Timing only
-};
-// 1 <= workers <= cpus, on the engine's default epoch.  `workers` == 1 is the
-// oracle: it groups fingerprints as `groups` would, for any `groups`;
-// otherwise `groups` must equal `workers`.
-ParallelEngineThroughputResult RunParallelEngineThroughput(int workers, int groups, int threads,
-                                                           int cpus, Tick horizon,
-                                                           std::uint64_t seed);
-
-// ---------------------------------------------------------------------------
 // Sharded scheduling pathology (Section 1.2, generalized): `threads` threads
 // with seeded random weights on config.num_cpus processors — mostly
 // compute-bound hogs, plus a capped band of interactive sleepers (blocking)

@@ -83,27 +83,6 @@ class Trace {
     rings_[static_cast<std::size_t>(num_cpus_)].Append(record);
   }
 
-  // Appends a lifecycle record on simulation worker `worker`'s private ring
-  // (sim::Engine at workers > 1: each worker emits lifecycle events for the
-  // shards it owns, so the shared lifecycle ring's single-writer contract
-  // cannot hold).
-  // Records carry the lifecycle pseudo-track cpu so exporters render them on
-  // the same track; the ring index is what identifies the worker.  Requires a
-  // prior EnsureWorkerLifecycleRings(>= worker + 1).
-  SFS_OBS_OUTLINED void RecordLifecycleOnWorker(int worker, TraceEventKind kind,
-                                                std::int64_t ts, std::int32_t tid,
-                                                std::int64_t arg = 0) {
-    SFS_DCHECK(worker >= 0 && worker < worker_rings_);
-    TraceRecord record;
-    record.ts = ts;
-    record.arg = arg;
-    record.tid = tid;
-    record.kind = kind;
-    record.cpu = static_cast<std::uint8_t>(num_cpus_);  // lifecycle pseudo-track
-    rings_[static_cast<std::size_t>(num_cpus_) + 1 + static_cast<std::size_t>(worker)]
-        .Append(record);
-  }
-
   // --- offline access ---------------------------------------------------------
 
   TraceRing& ring(int cpu) {
@@ -119,31 +98,8 @@ class Trace {
     return rings_[static_cast<std::size_t>(num_cpus_)];
   }
 
-  // Grows the ring set to hold at least `workers` per-worker lifecycle rings
-  // (appended after the shared lifecycle ring).  Setup time only — must not
-  // race with recording.  Existing rings keep their contents.
-  void EnsureWorkerLifecycleRings(int workers,
-                                  std::size_t capacity_per_ring = kDefaultCapacity) {
-    SFS_CHECK(workers >= 0);
-    while (worker_rings_ < workers) {
-      rings_.emplace_back(capacity_per_ring);
-      ++worker_rings_;
-    }
-  }
-
-  int worker_rings() const { return worker_rings_; }
-
-  TraceRing& worker_lifecycle_ring(int worker) {
-    SFS_CHECK(worker >= 0 && worker < worker_rings_);
-    return rings_[static_cast<std::size_t>(num_cpus_) + 1 + static_cast<std::size_t>(worker)];
-  }
-  const TraceRing& worker_lifecycle_ring(int worker) const {
-    SFS_CHECK(worker >= 0 && worker < worker_rings_);
-    return rings_[static_cast<std::size_t>(num_cpus_) + 1 + static_cast<std::size_t>(worker)];
-  }
-
   // Iterates every ring's surviving records, per-CPU rings first (ascending),
-  // then the shared lifecycle ring, then any per-worker lifecycle rings.
+  // then the lifecycle ring.
   // `fn(record)`; offline use only.
   template <typename Fn>
   void ForEachRecord(Fn&& fn) const {
@@ -204,10 +160,9 @@ class Trace {
  private:
   int num_cpus_;
   Clock clock_;
-  int worker_rings_ = 0;
   std::int64_t epoch_ns_ = 0;
   std::atomic<std::int64_t> now_hint_{0};
-  // [0, num_cpus) per-CPU, [num_cpus] lifecycle, then worker lifecycle rings.
+  // [0, num_cpus) per-CPU, [num_cpus] lifecycle.
   std::vector<TraceRing> rings_;
   // Ordered map: exporters iterate this into deterministic output
   // (tools/lint/check_determinism.py forbids unordered iteration here).

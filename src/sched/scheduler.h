@@ -45,16 +45,16 @@
 //         by that shard's mutex or atomic (the runnable count).  Structural
 //         mutations (Add/Remove/Detach/Attach) still take the full lifecycle
 //         lock; that exclusivity is what makes entity-table reads safe for
-//         holders of any single dispatch mutex.  The multi-worker
-//         sim::Engine's wakeup/block hot path is built on this relaxation.  It
-//         acquires every distinct dispatch mutex, so it is exclusive against
-//         every concurrent LockDispatch *and* other lifecycle calls, and a
-//         lifecycle holder may additionally perform dispatch-path operations
-//         (the Charge-then-Block sequence must be atomic or another
-//         dispatcher could pick the thread in between).  Deliberately not a
-//         reader-writer lock: with per-CPU dispatchers hammering the
-//         dispatch path, a reader-preferring rwlock (glibc's default) can
-//         starve wakeups for seconds.
+//         holders of any single dispatch mutex.  runtime::Executor's block
+//         and timer-expiry wakeup paths are built on this relaxation.
+//         LockLifecycle acquires every distinct dispatch mutex, so it is
+//         exclusive against every concurrent LockDispatch *and* other
+//         lifecycle calls, and a lifecycle holder may additionally perform
+//         dispatch-path operations (the Charge-then-Block sequence must be
+//         atomic or another dispatcher could pick the thread in between).
+//         Deliberately not a reader-writer lock: with per-CPU dispatchers
+//         hammering the dispatch path, a reader-preferring rwlock (glibc's
+//         default) can starve wakeups for seconds.
 //   * Lock order: dispatch mutexes are only ever *waited on* in ascending
 //     CPU-id order (LockLifecycle and the sharded steal path both follow
 //     this; out-of-order acquisitions use try_lock), so no cycle of blocking
@@ -64,7 +64,7 @@
 // drivers may legitimately call every entry point with *no* locks held
 // (single-threaded simulators), the public methods carry no REQUIRES
 // annotations — the static analysis enforces the unconditionally-locked
-// subsystems (executor, metrics, epoch barrier), while this dynamic contract
+// subsystems (executor, metrics), while this dynamic contract
 // is enforced at runtime by the lock-order validator (common/mutex.h):
 // sched::Sharded registers its per-shard mutexes under kLockClassDispatch
 // with rank == CPU id, so any blocking out-of-order acquisition aborts in
@@ -130,8 +130,7 @@ class Scheduler {
 
   // As AddThread, with a placement hint: partitioned/sharded policies admit
   // the thread to shard `home` instead of their load-balanced choice, making
-  // placement a pure function of the workload (the parallel engine's
-  // partitioned determinism contract).  Flat policies ignore the hint; an
+  // placement a pure function of the workload.  Flat policies ignore the hint; an
   // out-of-range or kInvalidCpu hint falls back to plain AddThread.
   void AddThread(ThreadId tid, Weight weight, CpuId home);
 
@@ -240,14 +239,6 @@ class Scheduler {
   int runnable_count() const { return runnable_count_.load(std::memory_order_relaxed); }
   int thread_count() const { return static_cast<int>(live_.size()); }
 
-  // Conservative-epoch synchronization hook (sim::Engine at workers > 1):
-  // invoked once per epoch boundary, single-threaded, with every worker parked
-  // at the barrier, at simulated time `now`.  Policies may snapshot or republish
-  // cross-shard state here (sched::Sharded exposes per-shard virtual times);
-  // the default does nothing.  Must not change any scheduling decision —
-  // single-threaded drivers never call it.
-  virtual void OnEpochBoundary(Tick now) { (void)now; }
-
   // Threads the scheduler itself moved between internal shards: idle-pull
   // steals and periodic rebalance migrations (sched::Sharded).  Flat policies
   // report zero; the simulation engine mirrors `steals` into its counters.
@@ -323,7 +314,7 @@ class Scheduler {
   std::vector<Entity*> live_;
   std::vector<ThreadId> running_;
   // Relaxed atomic: Block/Wakeup run under per-shard dispatch mutexes in the
-  // parallel engine, so increments on different shards race as plain ints.
+  // runtime, so increments on different shards race as plain ints.
   // The count itself needs no cross-shard ordering — readers want a tally,
   // not a synchronization point.
   std::atomic<int> runnable_count_{0};

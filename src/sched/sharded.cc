@@ -92,19 +92,11 @@ CpuId ShardedScheduler::LightestShard() const {
   return best;
 }
 
-void ShardedScheduler::OnEpochBoundary(Tick now) {
-  (void)now;
-  for (const auto& shard : shards_) {
-    shard->epoch_virtual_time.store(shard->scheduler->LocalVirtualTime(),
-                                    std::memory_order_relaxed);
-  }
-}
-
 void ShardedScheduler::OnAdmit(Entity& e) {
   // A pre-set partition is a placement hint (Scheduler::AddThread's `home`
   // overload): admit there instead of balancing, so placement is a pure
-  // function of the workload — the parallel engine's partitioned
-  // determinism contract rests on this.
+  // function of the workload and a hinted, non-stealing run stays
+  // partitioned.
   const CpuId target =
       (e.partition >= 0 && e.partition < num_cpus()) ? e.partition : LightestShard();
   e.partition = target;

@@ -101,21 +101,6 @@ class ShardedScheduler : public Scheduler {
   // Runnable weight per shard (placement/rebalance balance target).
   std::vector<double> ShardRunnableWeights() const;
 
-  // Shard-local virtual time as of the last epoch boundary (the parallel
-  // engine's conservative synchronization points).  Workers read peer shards'
-  // timelines lock-free through this snapshot — reading a peer's
-  // LocalVirtualTime() directly would require its dispatch mutex.  Exact for
-  // single-threaded drivers that call OnEpochBoundary; 0.0 before the first
-  // boundary.
-  double ShardVirtualTime(CpuId cpu) const {
-    return ShardAt(cpu).epoch_virtual_time.load(std::memory_order_relaxed);
-  }
-
-  // Snapshots every shard's LocalVirtualTime into the lock-free epoch view.
-  // Called single-threaded (all workers at the barrier), so reading the inner
-  // schedulers without their mutexes is safe.
-  void OnEpochBoundary(Tick now) override;
-
   // The uniprocessor policy instance hosting shard `cpu`.
   const Scheduler& shard(CpuId cpu) const;
   Scheduler& shard(CpuId cpu);
@@ -140,9 +125,6 @@ class ShardedScheduler : public Scheduler {
     // heaviest shard (an approximate balance heuristic under concurrency,
     // exact when single-threaded).
     std::atomic<double> runnable_weight{0.0};
-    // Shard-local virtual time snapshotted at the last epoch boundary (see
-    // ShardVirtualTime); written only inside OnEpochBoundary.
-    std::atomic<double> epoch_virtual_time{0.0};
     // The shard's dispatch mutex (see the lock-order comment above).  The
     // host registers it with the lock-order validator under
     // kLockClassDispatch, rank == CPU id, so a blocking out-of-order

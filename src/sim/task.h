@@ -80,10 +80,9 @@ class Task {
 
   // Home-CPU placement hint, forwarded to Scheduler::AddThread at arrival.
   // Partition-aware policies admit the thread to this shard instead of their
-  // load-balanced choice, making placement a pure function of the workload
-  // (the parallel engine's partitioned determinism contract; it also decides
-  // which simulation worker owns the arrival).  kInvalidCpu (default) keeps
-  // the scheduler's own placement.  Set before handing the task to the engine.
+  // load-balanced choice, making placement a pure function of the workload.
+  // kInvalidCpu (default) keeps the scheduler's own placement.  Set before
+  // handing the task to the engine.
   sched::CpuId home_cpu() const { return home_cpu_; }
   void set_home_cpu(sched::CpuId cpu) { home_cpu_ = cpu; }
 

@@ -1,27 +1,20 @@
-// Unit tests for sim::Engine's worker regimes.
+// Recorded-schedule goldens for sim::Engine.
 //
-// Three contracts under test (engine.h):
-//   * workers == 1 reproduces the schedules recorded from the engine's former
+// Two contracts under test:
+//   * the engine reproduces the schedules recorded from its former
 //     single-threaded implementation byte-identically — run-interval stream,
 //     lifecycle stream, per-task services, every counter — for flat and
-//     sharded policies alike (goldens below).
-//   * workers > 1 over a *partitioned* sharded policy reproduces the
-//     single worker's per-CPU / per-home streams byte-identically at any
-//     worker count, and is deterministic across reruns.
-//   * workers > 1 in general (hintless tasks, mailboxes in play) preserves
-//     the conservation invariants: arrivals == departures + live, and every
-//     dispatch is eventually charged (tasks still on-CPU at the horizon
-//     excepted).
+//     sharded policies alike (goldens below);
+//   * over a *partitioned* sharded policy, the per-CPU run-interval and
+//     per-home lifecycle streams match their recorded values.
 //
-// The multi-worker cases double as the TSan targets for the engine (ctest -R
-// ParallelEngine under the sanitizer job).
+// The suites keep their ParallelEngine* names so test ids stay stable; the
+// multi-worker engine they once compared against is gone (DESIGN.md §10).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,7 +42,7 @@ sched::SchedConfig TestConfig(int cpus) {
 
 // The shared workload: hogs with mixed weights, interactive sleepers (arrive
 // asleep — the wakeup path), and a churning short-job chain through the exit
-// hook (single worker only).  `hint` pins task tid to shard tid % cpus.
+// hook.  `hint` pins task tid to shard tid % cpus.
 void AddWorkload(Engine& engine, int cpus, bool hint, bool churn) {
   ThreadId next_tid = 1;
   auto add = [&engine, cpus, hint](Tick at, std::unique_ptr<Task> task) {
@@ -79,7 +72,7 @@ void AddWorkload(Engine& engine, int cpus, bool hint, bool churn) {
   }
 }
 
-// --- workers == 1: recorded single-threaded schedules ------------------------
+// --- recorded single-threaded schedules --------------------------------------
 
 struct RunResult {
   std::uint64_t run_fingerprint = 0;
@@ -90,8 +83,6 @@ struct RunResult {
   std::int64_t preemptions = 0;
   Tick idle = 0;
   Tick ctx_cost = 0;
-  std::int64_t mailed = 0;
-  std::int64_t epochs = 0;
 };
 
 RunResult RunSingleWorker(SchedKind kind, bool hint) {
@@ -132,8 +123,6 @@ RunResult RunSingleWorker(SchedKind kind, bool hint) {
   result.preemptions = engine.preemptions();
   result.idle = engine.idle_time();
   result.ctx_cost = engine.total_context_switch_cost();
-  result.mailed = engine.mailed_wakeups();
-  result.epochs = engine.epochs();
   return result;
 }
 
@@ -213,8 +202,6 @@ void ExpectMatchesGolden(SchedKind kind, bool hint) {
     EXPECT_EQ(run.ctx_cost, golden.ctx_cost);
   }
   EXPECT_EQ(checked, 1);
-  EXPECT_EQ(run.mailed, 0);
-  EXPECT_EQ(run.epochs, 0);
 }
 
 class ParallelEngineOracleTest : public ::testing::TestWithParam<SchedKind> {};
@@ -242,17 +229,14 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// --- workers > 1, partitioned: exactness per shard group ---------------------
+// --- partitioned: exactness per shard group ----------------------------------
 
 // Partitioned sharded-SFS: per-CPU run-interval streams and per-home-shard
-// lifecycle streams must be byte-identical to the single worker's at every
-// worker count (per-CPU granularity is the finest grouping, so it covers any
-// coarser worker split).
+// lifecycle streams.
 struct GroupedFingerprints {
   std::vector<std::uint64_t> per_cpu_run;
   std::vector<std::uint64_t> per_home_life;
   std::int64_t dispatches = 0;
-  std::int64_t mailed = 0;
 
   bool operator==(const GroupedFingerprints&) const = default;
 };
@@ -265,16 +249,11 @@ sched::SchedConfig PartitionedConfig(int cpus) {
   return config;
 }
 
-// Every hook call for CPU c (run intervals) or home shard h (lifecycle) comes
-// from the worker owning it, so each accumulator has a single writer.
-GroupedFingerprints RunPartitioned(int workers, int cpus) {
+GroupedFingerprints RunPartitioned(int cpus) {
   auto scheduler = CreateScheduler(SchedKind::kShardedSfs, PartitionedConfig(cpus));
   std::vector<common::Fnv1a> run_fps(static_cast<std::size_t>(cpus));
   std::vector<common::Fnv1a> life_fps(static_cast<std::size_t>(cpus));
-  EngineConfig config;
-  config.workers = workers;
-  config.epoch = Msec(10);
-  Engine engine(*scheduler, config);
+  Engine engine(*scheduler);
   engine.SetRunIntervalHook([&run_fps](Tick start, Tick len, sched::CpuId cpu, ThreadId tid) {
     common::Fnv1a& fp = run_fps[static_cast<std::size_t>(cpu)];
     fp.Mix(static_cast<std::uint64_t>(start));
@@ -292,7 +271,6 @@ GroupedFingerprints RunPartitioned(int workers, int cpus) {
 
   GroupedFingerprints result;
   result.dispatches = engine.dispatches();
-  result.mailed = engine.mailed_wakeups();
   for (const auto& fp : run_fps) {
     result.per_cpu_run.push_back(fp.value());
   }
@@ -302,7 +280,7 @@ GroupedFingerprints RunPartitioned(int workers, int cpus) {
   return result;
 }
 
-// RunPartitioned(1, kCpus), recorded from the single-threaded engine before
+// RunPartitioned(kCpus), recorded from the single-threaded engine before
 // the two engine implementations were merged.
 const GroupedFingerprints kPartitionedGolden = {
     .per_cpu_run = {0x29cb8a31a7cb7917ULL, 0x99d0c48c58a60087ULL,
@@ -310,159 +288,10 @@ const GroupedFingerprints kPartitionedGolden = {
     .per_home_life = {0xd66889509062dd33ULL, 0x9d84f26aa77043e3ULL,
                       0xa21049cde32e983dULL, 0x5d7ebbb8479ab3b8ULL},
     .dispatches = 1326,
-    .mailed = 0,
 };
 
 TEST(ParallelEnginePartitionedTest, GroupStreamsMatchSerialOracleAtEveryWorkerCount) {
-  const GroupedFingerprints oracle = RunPartitioned(/*workers=*/1, kCpus);
-  EXPECT_EQ(oracle, kPartitionedGolden);
-  for (const int workers : {2, 4}) {
-    const GroupedFingerprints parallel = RunPartitioned(workers, kCpus);
-    EXPECT_EQ(parallel.mailed, 0) << "partitioned runs must not mail";
-    EXPECT_EQ(parallel, oracle) << "workers=" << workers;
-  }
-}
-
-TEST(ParallelEnginePartitionedTest, RerunsAreDeterministic) {
-  const GroupedFingerprints first = RunPartitioned(/*workers=*/2, kCpus);
-  const GroupedFingerprints second = RunPartitioned(/*workers=*/2, kCpus);
-  EXPECT_EQ(first, second);
-}
-
-// --- workers > 1, unpartitioned: conservation + mailboxes --------------------
-
-// Arrival/departure tallies; the hook runs concurrently on the workers.
-struct Conservation {
-  std::atomic<std::int64_t> arrivals{0};
-  std::atomic<std::int64_t> departures{0};
-
-  std::function<void(SchedEvent, const Task&, Tick)> Hook() {
-    return [this](SchedEvent event, const Task&, Tick) {
-      if (event == SchedEvent::kArrival) {
-        arrivals.fetch_add(1, std::memory_order_relaxed);
-      } else if (event == SchedEvent::kDeparture) {
-        departures.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-  }
-};
-
-// Hintless sleepers on a sharded policy: arrivals round-robin across workers
-// while the scheduler places by load, so arrive-asleep wakeups cross worker
-// boundaries through the mailboxes.  Weights change and a task dies between
-// RunUntil segments (quiescent surgery).  TSan target.
-TEST(ParallelEngineStressTest, HintlessShardedRunConservesTasksAndExercisesMail) {
-  auto scheduler = CreateScheduler(SchedKind::kShardedSfs, TestConfig(kCpus));
-  EngineConfig config;
-  config.workers = kCpus;
-  config.epoch = Msec(5);
-  Engine engine(*scheduler, config);
-
-  Conservation tally;
-  engine.SetSchedEventHook(tally.Hook());
-
-  ThreadId next_tid = 1;
-  for (int i = 0; i < 2; ++i) {
-    engine.AddTaskAt(0, workload::MakeInf(next_tid++, 1.0 + i, "hog"));
-  }
-  for (int i = 0; i < 24; ++i) {
-    workload::Interact::Params params;
-    params.mean_think = Msec(5 + 2 * i);
-    params.burst = Usec(500 + 100 * i);
-    params.seed = 31u + static_cast<std::uint64_t>(i);
-    engine.AddTaskAt(Msec(3 * i),
-                     workload::MakeInteract(next_tid++, 1.0 + i % 5, params, nullptr, "sleeper"));
-  }
-  for (int i = 0; i < 8; ++i) {
-    engine.AddTaskAt(Msec(40 * i),
-                     workload::MakeFixedWork(next_tid++, 2.0, Msec(60), "short"));
-  }
-  const int total_tasks = static_cast<int>(next_tid) - 1;
-
-  // Segmented run with quiescent surgery between segments.
-  engine.RunUntil(Sec(1));
-  engine.scheduler().SetWeight(1, 9.0);
-  engine.RunUntil(Sec(2));
-  if (engine.HasTask(2) && engine.task(2).state() != Task::State::kExited) {
-    engine.KillTask(2);
-  }
-  engine.RunUntil(Sec(4));
-
-  std::int64_t live = 0;
-  engine.ForEachTask([&live](const Task& task) {
-    if (task.state() != Task::State::kNew && task.state() != Task::State::kExited) {
-      ++live;
-    }
-  });
-  EXPECT_EQ(tally.arrivals.load(), total_tasks);
-  EXPECT_EQ(tally.arrivals.load(), tally.departures.load() + live);
-  // Every dispatch is eventually charged as a run interval except tasks still
-  // on-CPU at the horizon (at most one per simulated processor).
-  EXPECT_GT(engine.dispatches(), 0);
-  EXPECT_GT(engine.mailed_wakeups(), 0) << "hintless sharded run should cross workers";
-  EXPECT_GT(engine.epochs(), 0);
-}
-
-// Flat SFS at workers > 1: a single global dispatch mutex serializes the
-// scheduler, wakeups never mail, conservation still holds.  TSan target.
-TEST(ParallelEngineStressTest, FlatPolicyManyWorkersConserves) {
-  auto scheduler = CreateScheduler(SchedKind::kSfs, TestConfig(kCpus));
-  EngineConfig config;
-  config.workers = kCpus;
-  config.epoch = Msec(5);
-  Engine engine(*scheduler, config);
-
-  Conservation tally;
-  engine.SetSchedEventHook(tally.Hook());
-
-  ThreadId next_tid = 1;
-  for (int i = 0; i < 12; ++i) {
-    workload::Interact::Params params;
-    params.mean_think = Msec(4 + i);
-    params.burst = Msec(1);
-    params.seed = 101u + static_cast<std::uint64_t>(i);
-    engine.AddTaskAt(Msec(i), workload::MakeInteract(next_tid++, 1.0, params, nullptr, "s"));
-  }
-  for (int i = 0; i < 6; ++i) {
-    engine.AddTaskAt(Msec(30 * i),
-                     workload::MakeFixedWork(next_tid++, 1.0, Msec(40), "short"));
-  }
-  const int total_tasks = static_cast<int>(next_tid) - 1;
-  engine.RunUntil(Sec(3));
-
-  std::int64_t live = 0;
-  engine.ForEachTask([&live](const Task& task) {
-    if (task.state() != Task::State::kNew && task.state() != Task::State::kExited) {
-      ++live;
-    }
-  });
-  EXPECT_EQ(tally.arrivals.load(), total_tasks);
-  EXPECT_EQ(tally.arrivals.load(), tally.departures.load() + live);
-  EXPECT_EQ(engine.mailed_wakeups(), 0) << "flat policies keep every wakeup local";
-}
-
-// --- auto-grow ---------------------------------------------------------------
-
-// No ReserveTasks, sparse and out-of-order tids, hintless arrivals split
-// across two workers: the tid->slot index must auto-grow geometrically and
-// stay correct (EngineTest.SparseTidsAutoGrowWithoutReserve is the
-// single-worker case).
-TEST(ParallelEngineGrowthTest, SparseTidsWithoutReserve) {
-  auto scheduler = CreateScheduler(SchedKind::kSfs, TestConfig(2));
-  EngineConfig config;
-  config.workers = 2;
-  Engine engine(*scheduler, config);
-  const ThreadId tids[] = {5000, 3, 1200, 77, 999999, 42};
-  for (const ThreadId tid : tids) {
-    engine.AddTaskAt(0, workload::MakeInf(tid, 1.0, "t"));
-  }
-  engine.RunUntil(Sec(1));
-  Tick total = 0;
-  for (const ThreadId tid : tids) {
-    ASSERT_TRUE(engine.HasTask(tid));
-    total += engine.ServiceIncludingRunning(tid);
-  }
-  EXPECT_EQ(total, 2 * Sec(1));  // 2 CPUs fully shared among the 6 tasks
+  EXPECT_EQ(RunPartitioned(kCpus), kPartitionedGolden);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Determinism lint for the fingerprint-feeding subsystems.
 
-The repo's determinism contract (DESIGN.md §1 and §10; pinned by the golden
-fingerprints of tests/integration/layout_parity_test.cc and
+The repo's determinism contract (DESIGN.md §1 and §10: one single-threaded
+simulation loop; pinned by the golden fingerprints of
+tests/integration/layout_parity_test.cc and
 tests/integration/parallel_engine_fuzz_test.cc, and by the byte-identical
 rerun check of tests/harness/runner_test.cc) requires that every schedule and
-lifecycle fingerprint be byte-identical across runs, machines, and shard
-counts.  That breaks the moment iteration order, keys, or timing leak into
+lifecycle fingerprint be byte-identical across runs and machines.  That breaks the moment iteration order, keys, or timing leak into
 scheduling decisions, so this checker rejects the known leak classes in
 src/{sched,sim,eval,obs,runtime}:
 
